@@ -13,10 +13,11 @@ namespace tsg {
 
 /// Which stepping pipeline executes the element kernels.
 ///  * kReference -- one element at a time; the readable oracle.
-///  * kBatched   -- fused cluster-contiguous tile GEMMs, bitwise-identical
-///    to the reference path (tests/test_batched_kernels.cpp).
-///  * kFast      -- the batched tile pipeline with per-ISA compiled row
-///    kernels selected at runtime (cpuid, TSG_FORCE_ISA override).  NOT
+///  * kBatched   -- fused cluster-contiguous tile GEMMs from the per-ISA
+///    compiled stage-kernel table selected at runtime (cpuid,
+///    TSG_FORCE_ISA override), without FTZ: bitwise-identical to the
+///    reference path on every ISA (the BatchedKernels tests).
+///  * kFast      -- the same table plus FTZ|DAZ around every tile.  NOT
 ///    bitwise-identical to the reference path; accuracy is gated to 1e-9
 ///    relative on receivers (tests/test_fast_backend.cpp).
 enum class KernelPath {

@@ -63,7 +63,7 @@ struct EnsembleOptions {
   bool shareAssets = true;  // false = every member builds privately
   std::string statusPath;   // fleet tsg-status-1 roll-up ("" = none)
   /// Fleet perf roll-up path ("tsg-fleetperf-1"; "" = none).  Enables
-  /// each member's perf monitor and tsg-perf-1 report
+  /// each member's perf monitor and tsg-perf-2 report
   /// (<memberPrefix>_perf.json); referenced from the status heartbeat.
   std::string fleetPerfPath;
   /// Each member also writes <memberPrefix>_modelcheck.json

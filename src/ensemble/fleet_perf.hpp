@@ -8,7 +8,7 @@
 // of busy seconds, wall seconds, and sustained GF/s, plus member wall
 // times and the asset cache's build-vs-hit economics -- so one JSON
 // answers "was this sweep's compute healthy, and where did the time
-// go?" without opening N member reports.  The member tsg-perf-1 files
+// go?" without opening N member reports.  The member tsg-perf-2 files
 // stay on disk for per-member drill-down; the roll-up references them
 // by prefix.  Referenced from the tsg-status-1 fleet heartbeat
 // (`fleet_perf` key) so dashboards can discover it.

@@ -123,7 +123,10 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
     // folded-boundary faces into the face scratch tile; apply pointwise
     // gravity and rupture fluxes directly (their slot in each element's
     // accumulation sequence is exactly here, matching the reference).
-    zeroTile(faceScratch, rm.nb, kNumQuantities * width, ld);
+    for (int l = 0; l < rm.nb; ++l) {
+      std::memset(faceScratch + static_cast<std::size_t>(l) * ld, 0,
+                  sizeof(real) * kNumQuantities * width);
+    }
     for (int lane = 0; lane < width; ++lane) {
       const BatchFaceInfo& info =
           ba.batchFaces[(static_cast<std::size_t>(batch.begin) + lane) * 4 + f];

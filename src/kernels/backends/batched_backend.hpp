@@ -2,10 +2,12 @@
 
 // The batched pipeline: one cluster-contiguous batch per tile, fused
 // blocked GEMMs over interleaved tiles (see kernels/batch_layout.hpp).
-// Stage kernels are called through a StageKernels table; bound to
-// batchedStageKernels() the pipeline is bitwise-identical to the
-// reference backend (pinned by tests/test_batched_kernels.cpp), and the
-// fast backend reuses this driver with per-ISA tables.
+// Stage kernels come from the dispatched per-ISA StageKernels table
+// (stage_kernels.hpp; cpuid with the TSG_FORCE_ISA override, see
+// isa_dispatch.hpp).  Run without FTZ, as here, the pipeline is
+// bitwise-identical to the reference backend on every ISA variant
+// (pinned by the BatchedKernels tests); the fast backend is this
+// pipeline plus FTZ|DAZ (fast_backend.hpp).
 //
 // The cluster-contiguous operand tensors (layout, batch-ordered faces,
 // negated star/flux matrices) are pure functions of the static asset
@@ -17,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "kernels/backends/isa_dispatch.hpp"
 #include "kernels/backends/kernel_backend.hpp"
 #include "kernels/backends/stage_kernels.hpp"
 #include "kernels/batch_layout.hpp"
@@ -27,7 +30,7 @@ namespace tsg {
 class BatchedBackend : public KernelBackend {
  public:
   explicit BatchedBackend(SolverState& state)
-      : BatchedBackend(state, batchedStageKernels(), "batched") {}
+      : BatchedBackend(state, "batched") {}
 
   const char* name() const override { return name_; }
   const char* isa() const override { return k_->isa; }
@@ -62,11 +65,10 @@ class BatchedBackend : public KernelBackend {
   }
 
  protected:
-  BatchedBackend(SolverState& state, const StageKernels& kernels,
-                 const char* name)
-      : KernelBackend(state), k_(&kernels), name_(name) {}
-
-  const StageKernels* k_;
+  BatchedBackend(SolverState& state, const char* name)
+      : KernelBackend(state),
+        k_(&fastStageKernels(resolveFastIsa())),
+        name_(name) {}
 
  private:
   void predictorBatch(const ElementBatch& batch, bool reset);
@@ -76,6 +78,7 @@ class BatchedBackend : public KernelBackend {
                                  static_cast<int>(tile)];
   }
 
+  const StageKernels* k_;
   const char* name_;
   // Shared batched operand tensors (null until prepare()).
   std::shared_ptr<const BatchedAssets> ba_;

@@ -1,24 +1,21 @@
 #pragma once
 
-// The fast backend: the batched tile driver bound to per-ISA compiled
-// stage kernels (kernels/backends/fast_stage_*.cpp), selected at runtime
-// by cpuid with a TSG_FORCE_ISA override (kernels/backends/isa_dispatch).
-// Relaxes the bitwise-identity-vs-reference contract (gated at 1e-9 on
-// receivers by tests/test_fast_backend.cpp); all of its own ISA variants
-// agree bitwise with each other.
+// The fast backend: the batched backend (the same tile pipeline and the
+// same dispatched per-ISA stage-kernel table) with subnormals flushed to
+// zero (MXCSR FTZ|DAZ) around every tile.  That is its only difference
+// from `batched`.
 //
-// Stage kernels run with subnormals flushed to zero (MXCSR FTZ|DAZ).
 // Quiescent regions ahead of the wavefronts produce subnormal operands,
 // and this host class executes subnormal arithmetic ~50x slower than
 // normal arithmetic via microcode assists; flushing removes that cliff.
 // The flushed magnitudes (< ~2e-308) are far inside the 1e-9 relative
-// accuracy contract, and MXCSR semantics are identical across the SSE /
-// AVX encodings used by every fast TU, so the cross-ISA bitwise
-// guarantee is unaffected.  The batched backend must NOT flush: it is
-// held bitwise-identical to reference.
+// accuracy contract against reference (tests/test_fast_backend.cpp), and
+// MXCSR semantics are identical across the SSE / AVX encodings used by
+// every ISA variant, so all variants still agree bitwise with each
+// other.  The batched backend must NOT flush: it is held
+// bitwise-identical to reference.
 
 #include "kernels/backends/batched_backend.hpp"
-#include "kernels/backends/isa_dispatch.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <xmmintrin.h>
@@ -47,7 +44,7 @@ class FlushSubnormalsScope {
 class FastBackend : public BatchedBackend {
  public:
   explicit FastBackend(SolverState& state)
-      : BatchedBackend(state, fastStageKernels(resolveFastIsa()), "fast") {}
+      : BatchedBackend(state, "fast") {}
 
   void runPredictorTile(int cluster, std::size_t tile,
                         bool resetBuffer) override {

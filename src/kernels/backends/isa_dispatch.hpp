@@ -1,10 +1,11 @@
 #pragma once
 
-// Runtime ISA selection for the fast backend.  The fast stage kernels are
-// compiled once per ISA (see fast_stage_*.cpp and the per-TU -march flags
-// in src/CMakeLists.txt); this module picks which table to run on the
-// host: the widest supported ISA by default, or whatever TSG_FORCE_ISA
-// names (useful for cross-ISA bitwise tests and for pinning CI runners).
+// Runtime ISA selection for the tile backends (batched and fast).  The
+// stage kernels are compiled once per ISA (see fast_stage_*.cpp and the
+// per-TU -march flags in src/CMakeLists.txt); this module picks which
+// table to run on the host: the widest supported ISA by default, or
+// whatever TSG_FORCE_ISA names (useful for cross-ISA bitwise tests and
+// for pinning CI runners).
 
 #include <string>
 

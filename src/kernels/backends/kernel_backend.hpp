@@ -10,10 +10,11 @@
 // Backends:
 //  * reference -- one element per tile, the readable per-element oracle;
 //  * batched   -- one cluster-contiguous batch per tile, fused blocked
-//    GEMMs, bitwise-identical to reference;
-//  * fast      -- the batched layout with per-ISA compiled stage kernels
-//    (scalar/SSE2/AVX2/AVX-512 translation units, runtime cpuid dispatch,
-//    TSG_FORCE_ISA override); relaxes the bitwise-identity contract.
+//    GEMMs from per-ISA compiled stage kernels (scalar/SSE2/AVX2/AVX-512
+//    translation units, runtime cpuid dispatch, TSG_FORCE_ISA override),
+//    bitwise-identical to reference;
+//  * fast      -- batched plus FTZ|DAZ; relaxes the bitwise-identity
+//    contract.
 
 #include <cstdint>
 #include <memory>
@@ -31,7 +32,7 @@ class KernelBackend {
   /// Canonical name: "reference" | "batched" | "fast".
   virtual const char* name() const = 0;
   /// Instruction-set variant executing the stage kernels ("generic" for
-  /// the portable backends; "scalar"/"sse2"/"avx2"/"avx512" for fast).
+  /// reference; "scalar"/"sse2"/"avx2"/"avx512" for batched and fast).
   virtual const char* isa() const = 0;
 
   /// (Re)build layout-dependent data.  Called at the start of every

@@ -5,7 +5,6 @@
 
 #include "common/flops.hpp"
 #include "common/matrix.hpp"
-#include "kernels/batched_kernels.hpp"
 
 namespace tsg {
 
@@ -100,8 +99,20 @@ void surfaceKernel(const ReferenceMatrices& rm, const Matrix& faceMatrix,
 
 void surfaceKernelPointwise(const ReferenceMatrices& rm, const Matrix& testTW,
                             real scale, const real* fluxQP, real* dofs) {
-  surfaceKernelPointwiseStrided(rm, testTW, scale, fluxQP, dofs,
-                                kNumQuantities);
+  // Fold sign and scale into a copy of fluxQP (a stack buffer covers
+  // every supported degree; larger shapes fall back to the heap).
+  const int n = rm.nq * kNumQuantities;
+  real neg[kNumQuantities * 128];
+  real* buf = neg;
+  std::vector<real> heap;
+  if (n > static_cast<int>(sizeof(neg) / sizeof(real))) {
+    heap.resize(n);
+    buf = heap.data();
+  }
+  for (int i = 0; i < n; ++i) {
+    buf[i] = -scale * fluxQP[i];
+  }
+  gemmAccRaw(rm.nb, kNumQuantities, rm.nq, testTW.data(), buf, dofs);
 }
 
 std::uint64_t aderPredictorFlops(const ReferenceMatrices& rm) {

@@ -8,7 +8,7 @@
 // cycles -- so one read() syscall snapshots them all coherently.  The
 // PerfThreadRecorder reads a snapshot at each wave begin/end next to its
 // steady_clock / FLOP-counter reads; the deltas land in PhaseStats and
-// surface in the extended "tsg-perf-1" phase fields (cycles, ipc,
+// surface in the "tsg-perf-2" phase fields (cycles, ipc,
 // llc_miss_rate, derived gbytes_per_s).
 //
 // Degradation is a first-class state, never a failure: sandboxed CI and

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,12 +107,12 @@ double ghzFromModelString(const std::string& model) {
   return std::atof(model.substr(start, end - start).c_str()) * scale;
 }
 
-/// First "cpu MHz" line of /proc/cpuinfo (current, not max; still a
-/// usable fallback).  0 when unavailable.
-double ghzFromProcCpuinfo() {
-  std::ifstream in("/proc/cpuinfo");
+/// First "cpu MHz" line of /proc/cpuinfo text (current, not max; still a
+/// usable fallback).  0 when absent.
+double ghzFromCpuinfo(const std::string& cpuinfo) {
+  std::istringstream in(cpuinfo);
   std::string line;
-  while (in && std::getline(in, line)) {
+  while (std::getline(in, line)) {
     if (line.rfind("cpu MHz", 0) == 0) {
       const std::size_t colon = line.find(':');
       if (colon != std::string::npos) {
@@ -149,7 +150,42 @@ double streamTriadGbytesPerS(int threads) {
   return best;
 }
 
+std::string readFile(const char* path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 }  // namespace
+
+const char* ghzSourceName(GhzSource source) {
+  switch (source) {
+    case GhzSource::kCycleCounter:
+      return "cycle_counter";
+    case GhzSource::kCpuModel:
+      return "cpu_model";
+    case GhzSource::kCpuMhz:
+      return "cpu_mhz";
+    case GhzSource::kDefault:
+      return "default";
+  }
+  return "default";
+}
+
+GhzEstimate resolveGhz(double cycleCounterGhz, const std::string& cpuModel,
+                       const std::string& cpuinfo) {
+  if (cycleCounterGhz > 0) {
+    return {cycleCounterGhz, GhzSource::kCycleCounter};
+  }
+  if (const double g = ghzFromModelString(cpuModel); g > 0) {
+    return {g, GhzSource::kCpuModel};
+  }
+  if (const double g = ghzFromCpuinfo(cpuinfo); g > 0) {
+    return {g, GhzSource::kCpuMhz};
+  }
+  return {2.5, GhzSource::kDefault};
+}
 
 HostProbe probeHost(int threads) {
   HostProbe probe;
@@ -166,20 +202,10 @@ HostProbe probeHost(int threads) {
   probe.isa = fastIsaName(isa);
   probe.flopsPerCyclePerCore = flopsPerCycle(isa);
 
-  probe.ghz = ghzFromCycleCounter();
-  probe.ghzSource = "cycle_counter";
-  if (probe.ghz <= 0) {
-    probe.ghz = ghzFromModelString(cpuModelString());
-    probe.ghzSource = "cpu_model";
-  }
-  if (probe.ghz <= 0) {
-    probe.ghz = ghzFromProcCpuinfo();
-    probe.ghzSource = "cpu_mhz";
-  }
-  if (probe.ghz <= 0) {
-    probe.ghz = 2.5;
-    probe.ghzSource = "default";
-  }
+  const GhzEstimate clock = resolveGhz(
+      ghzFromCycleCounter(), cpuModelString(), readFile("/proc/cpuinfo"));
+  probe.ghz = clock.ghz;
+  probe.ghzSource = clock.source;
   probe.peakGflops = threads * probe.ghz * probe.flopsPerCyclePerCore;
   probe.streamGbytesPerS = streamTriadGbytesPerS(threads);
 
@@ -270,7 +296,7 @@ std::string modelCheckJson(const Mesh& mesh, const ClusterLayout& clusters,
                 "\"ghz_source\": %s, \"flops_per_cycle_per_core\": %s, ",
                 host.threads, jsonQuote(host.isa).c_str(),
                 jsonNumber(host.ghz).c_str(),
-                jsonQuote(host.ghzSource).c_str(),
+                jsonQuote(ghzSourceName(host.ghzSource)).c_str(),
                 jsonNumber(host.flopsPerCyclePerCore).c_str());
   out += buf;
   std::snprintf(buf, sizeof buf,

@@ -10,7 +10,8 @@
 //    cores from the runtime, a peak-GF/s estimate (cores x sustained GHz
 //    x ISA-dependent DP flops/cycle, GHz measured with the cycle counter
 //    when perf events are available, else parsed from the CPU model
-//    string), and a measured stream-triad memory bandwidth microprobe;
+//    string or /proc/cpuinfo -- see resolveGhz), and a measured
+//    stream-triad memory bandwidth microprobe;
 //  * rooflinePhases(): classifies each measured phase of a PerfMonitor
 //    against that machine's roofline -- arithmetic intensity from
 //    LLC-miss traffic when hardware counters were live (falling back to
@@ -41,6 +42,30 @@
 
 namespace tsg {
 
+/// Where HostProbe::ghz came from, in fallback order.
+enum class GhzSource {
+  kCycleCounter,  // measured with the hardware cycle counter
+  kCpuModel,      // parsed from the CPU model string ("... @ 3.50GHz")
+  kCpuMhz,        // first "cpu MHz" line of /proc/cpuinfo
+  kDefault,       // nothing available: a 2.5 GHz guess
+};
+
+/// "cycle_counter" | "cpu_model" | "cpu_mhz" | "default" -- the report's
+/// `ghz_source` spelling.
+const char* ghzSourceName(GhzSource source);
+
+struct GhzEstimate {
+  double ghz = 0;
+  GhzSource source = GhzSource::kDefault;
+};
+
+/// probeHost's clock fallback chain as a pure function of its inputs:
+/// the cycle-counter measurement (0 when counters are unavailable), the
+/// CPU model string, and the /proc/cpuinfo text.  Takes the first source
+/// that yields a positive rate.
+GhzEstimate resolveGhz(double cycleCounterGhz, const std::string& cpuModel,
+                       const std::string& cpuinfo);
+
 /// This host, probed: a single-node MachineSpec plus the measured
 /// numbers backing it.
 struct HostProbe {
@@ -48,7 +73,7 @@ struct HostProbe {
   int threads = 0;    // worker threads the peak estimate assumes
   std::string isa;    // fast-ISA the dispatcher selects here
   double ghz = 0;               // sustained clock estimate
-  std::string ghzSource;        // "cycle_counter" | "cpu_model" | "default"
+  GhzSource ghzSource = GhzSource::kDefault;
   double flopsPerCyclePerCore = 0;  // DP flops/cycle for `isa`
   double peakGflops = 0;            // threads * ghz * flopsPerCycle
   double streamGbytesPerS = 0;      // measured triad bandwidth (all threads)

@@ -1,11 +1,6 @@
 #include "perf/perf_monitor.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -25,17 +20,6 @@ double nowSeconds() {
 }
 
 std::string jsonString(const std::string& s) { return jsonQuote(s); }
-
-/// The legacy begin/end bracket shares one t0_/flops0_ pair: concurrent
-/// callers inside a parallel region would silently interleave and produce
-/// garbage seconds/FLOPs.  Debug builds fail fast instead.
-void assertSerialPhaseApi() {
-#ifdef _OPENMP
-  assert(!omp_in_parallel() &&
-         "PerfMonitor::beginPhase/endPhase are orchestrating-thread-only; "
-         "use PerfThreadRecorder inside parallel regions");
-#endif
-}
 
 /// Trace tid of the named-span "run/io" track: keeps orchestration spans
 /// off the per-cluster kernel rows without colliding with cluster ids.
@@ -57,44 +41,9 @@ const char* phaseName(Phase p) {
 
 PerfMonitor::PerfMonitor() : epoch_(nowSeconds()) {}
 
-const double PerfMonitor::kZeroWall[kNumPhases] = {0, 0, 0};
-
 void PerfMonitor::ensureCluster(int phase, int cluster) {
   if (static_cast<int>(stats_[phase].size()) <= cluster) {
     stats_[phase].resize(cluster + 1);
-  }
-}
-
-void PerfMonitor::beginPhase(Phase p, int cluster) {
-  (void)p;
-  (void)cluster;
-  assertSerialPhaseApi();
-  flops0_ = totalFlops();
-  t0_ = nowSeconds();
-}
-
-void PerfMonitor::endPhase(Phase p, int cluster, std::uint64_t elements,
-                           std::uint64_t bytesEstimate) {
-  assertSerialPhaseApi();
-  const double t1 = nowSeconds();
-  const std::uint64_t flops1 = totalFlops();
-  const int pi = static_cast<int>(p);
-  ensureCluster(pi, cluster);
-  PhaseStats& s = stats_[pi][cluster];
-  s.seconds += t1 - t0_;
-  // The serial bracket IS the region wall: busy == wall here.
-  wall_[pi] += t1 - t0_;
-  s.invocations += 1;
-  s.flops += flops1 - flops0_;
-  s.elementUpdates += elements;
-  s.bytesEstimate += bytesEstimate;
-  if (traceEnabled_ && !traceSaturated_) {
-    if (trace_.size() >= maxTraceEvents_) {
-      traceSaturated_ = true;  // keep the head; do not grow unboundedly
-    } else {
-      trace_.push_back({static_cast<std::int8_t>(pi), cluster, -1,
-                        (t0_ - epoch_) * 1e6, (t1 - t0_) * 1e6});
-    }
   }
 }
 
@@ -291,20 +240,12 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
     out += ',';
     // Rows stay keyed by cluster; the producing worker thread (persistent
     // parallel region) is carried in args so Perfetto can slice by it.
-    if (e.thread >= 0) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
-                    "\"args\":{\"thread\":%d}}",
-                    phaseName(static_cast<Phase>(e.phase)), e.beginUs,
-                    e.durUs, e.cluster, e.thread);
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}",
-                    phaseName(static_cast<Phase>(e.phase)), e.beginUs,
-                    e.durUs, e.cluster);
-    }
+    std::snprintf(buf, sizeof buf,
+                  "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
+                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
+                  "\"args\":{\"thread\":%d}}",
+                  phaseName(static_cast<Phase>(e.phase)), e.beginUs, e.durUs,
+                  e.cluster, e.thread);
     out += buf;
   }
   for (const NamedEvent& e : namedTrace_) {
@@ -337,16 +278,15 @@ void appendStats(std::string& out, const PhaseStats& s) {
   const double flopPerByte =
       s.bytesEstimate > 0 ? static_cast<double>(s.flops) / s.bytesEstimate
                           : 0.0;
-  // "seconds" is the compatibility alias of "busy_seconds" (sum of
-  // per-thread busy time); see the header comment.
+  // Per-thread busy time; see the header comment.
   std::snprintf(buf, sizeof buf,
-                "\"seconds\":%s,\"busy_seconds\":%s,\"invocations\":%" PRIu64
+                "\"busy_seconds\":%s,\"invocations\":%" PRIu64
                 ",\"flops\":%" PRIu64 ",\"element_updates\":%" PRIu64
                 ",\"bytes_estimate\":%" PRIu64
                 ",\"gflops\":%s,\"elements_per_second\":%s,"
                 "\"flop_per_byte\":%s",
-                jsonNumber(s.seconds).c_str(), jsonNumber(s.seconds).c_str(),
-                s.invocations, s.flops, s.elementUpdates, s.bytesEstimate,
+                jsonNumber(s.seconds).c_str(), s.invocations, s.flops,
+                s.elementUpdates, s.bytesEstimate,
                 jsonNumber(gflops).c_str(), jsonNumber(elemPerS).c_str(),
                 jsonNumber(flopPerByte).c_str());
   out += buf;
@@ -391,7 +331,7 @@ void appendWallStats(std::string& out, const PhaseStats& s, double wall) {
 std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
   std::string out = "{\n";
   char buf[256];
-  out += "  \"schema\": \"tsg-perf-1\",\n";
+  out += "  \"schema\": \"tsg-perf-2\",\n";
   out += "  \"scenario\": " + jsonString(meta.scenario) + ",\n";
   out += "  \"kernel_path\": " + jsonString(meta.kernelPath) + ",\n";
   out += "  \"backend\": " + jsonString(meta.backend) + ",\n";

@@ -17,7 +17,6 @@
 //  * `wall_seconds`: the parallel-region bracket -- thread 0 times each
 //    wave from its start through the closing barrier (so imbalance wait
 //    is included); end-to-end rates and bandwidths divide by this.
-// `seconds` is kept as a compatibility alias of `busy_seconds`.
 //
 // When the host allows it, each wave also snapshots the thread's
 // hardware counter group (perf/hw_counters.hpp: cycles, instructions,
@@ -26,13 +25,8 @@
 // gracefully: on EACCES/ENOSYS (sandboxed CI, non-Linux) the fields are
 // simply absent from the report and `"hw_counters"` is false.
 //
-// The legacy beginPhase/endPhase bracket is kept for serial callers
-// (tests, tools); it asserts (debug builds) that it is NOT called inside
-// a parallel region, where its single t0_/flops0_ members would be
-// silently overwritten by concurrent callers.
-//
 // Outputs:
-//  * perfReportJson(): the BENCH_kernels.json schema ("tsg-perf-1") with
+//  * perfReportJson(): the BENCH_kernels.json schema ("tsg-perf-2") with
 //    the phase breakdown (wall seconds, GFLOP/s, element updates/s,
 //    estimated FLOP/byte), the per-cluster split, the LTS histogram, and
 //    aggregate named-span totals;
@@ -104,22 +98,14 @@ class PerfMonitor {
  public:
   PerfMonitor();
 
-  /// One phase region on the per-cluster trace rows; `thread` >= 0 tags
-  /// which worker produced it (legacy serial path records -1).
+  /// One phase region on the per-cluster trace rows; `thread` tags which
+  /// worker produced it.
   struct TraceEvent {
     std::int8_t phase;
     int cluster;
     int thread;
     double beginUs, durUs;
   };
-
-  /// Bracket one phase region.  Must be called from the orchestrating
-  /// thread (outside parallel regions -- asserted in debug builds, since
-  /// the single in-flight t0_/flops0_ pair would race); regions do not
-  /// nest.  Inside parallel regions use PerfThreadRecorder instead.
-  void beginPhase(Phase p, int cluster);
-  void endPhase(Phase p, int cluster, std::uint64_t elements,
-                std::uint64_t bytesEstimate);
 
   /// Merge one worker thread's accumulated per-(phase, cluster) stats and
   /// trace events (mutex-guarded; any thread).  `stats[p]` is indexed by
@@ -129,8 +115,7 @@ class PerfMonitor {
   /// captured no hardware counters).
   void mergeThread(const std::vector<PhaseStats> (&stats)[kNumPhases],
                    const std::vector<TraceEvent>& trace,
-                   const double (&wall)[kNumPhases] = kZeroWall,
-                   unsigned hwMask = 0);
+                   const double (&wall)[kNumPhases], unsigned hwMask);
 
   /// Aggregate per-name wall time and count of one named span.
   struct SpanStats {
@@ -141,7 +126,7 @@ class PerfMonitor {
   /// Record one named orchestration span [t0, t1] (clockSeconds values).
   /// Aggregated into spanStats() always; appended to the trace buffer
   /// when tracing is on.  `name` must outlive the monitor (use string
-  /// literals).  Orchestrating thread only, like beginPhase/endPhase;
+  /// literals).  Orchestrating thread only (outside parallel regions);
   /// spans may nest (checkpoint inside a telemetry flush).
   void recordSpan(const char* name, double t0, double t1);
   /// Record a named instant event carrying a count (e.g. gravity-eta
@@ -166,8 +151,7 @@ class PerfMonitor {
   /// Sum of all phase busy times (kernel time, excludes I/O etc.).
   double totalSeconds() const;
   /// Parallel-region bracket of one phase (wave start through closing
-  /// barrier, accumulated by the wall-owner thread).  The legacy serial
-  /// beginPhase/endPhase bracket counts towards both busy and wall.
+  /// barrier, accumulated by the wall-owner thread).
   double wallSeconds(Phase p) const { return wall_[static_cast<int>(p)]; }
   /// Sum of all phase wall brackets.
   double totalWallSeconds() const;
@@ -183,9 +167,6 @@ class PerfMonitor {
 
   /// Chrome trace-event JSON ({"traceEvents": [...]}) written atomically.
   void writeChromeTrace(const std::string& path) const;
-
-  /// All-zero default for mergeThread's wall parameter (legacy callers).
-  static const double kZeroWall[kNumPhases];
 
  private:
   struct NamedEvent {
@@ -206,9 +187,6 @@ class PerfMonitor {
   std::vector<NamedEvent> namedTrace_;
   bool traceSaturated_ = false;
 
-  // In-flight region (phases are serial; no nesting).
-  double t0_ = 0;
-  std::uint64_t flops0_ = 0;
   double epoch_ = 0;  // construction time, trace timestamp origin
 
   void ensureCluster(int phase, int cluster);
@@ -320,7 +298,7 @@ struct PerfReportMeta {
   std::map<std::string, std::string> host;
 };
 
-/// The BENCH_kernels.json document (schema "tsg-perf-1").
+/// The BENCH_kernels.json document (schema "tsg-perf-2").
 std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta);
 
 /// Atomic write of perfReportJson.

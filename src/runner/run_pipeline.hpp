@@ -93,7 +93,7 @@ struct ReceiverSummary {
 
 /// One phase of the member's perf measurement, carried back to the
 /// driver so the ensemble can aggregate a fleet roll-up without
-/// re-parsing the member's on-disk tsg-perf-1 report.
+/// re-parsing the member's on-disk tsg-perf-2 report.
 struct RunPhasePerf {
   std::string phase;
   double busySeconds = 0;

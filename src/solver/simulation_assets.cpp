@@ -52,8 +52,15 @@ std::uint64_t computeAssetHash(const Mesh& mesh,
   h = fnv1aOf(h, cfg.maxClusters);
   h = fnv1a(h, mesh.vertices.data(), mesh.vertices.size() * sizeof(Vec3));
   h = fnv1a(h, mesh.elements.data(), mesh.elements.size() * sizeof(Element));
-  h = fnv1a(h, mesh.faces.data(),
-            mesh.faces.size() * sizeof(std::array<FaceInfo, 4>));
+  // FaceInfo has padding after `bc`; hash its fields, never its bytes.
+  for (const std::array<FaceInfo, 4>& faces : mesh.faces) {
+    for (const FaceInfo& f : faces) {
+      h = fnv1aOf(h, f.neighbor);
+      h = fnv1aOf(h, f.neighborFace);
+      h = fnv1aOf(h, f.permutation);
+      h = fnv1aOf(h, f.bc);
+    }
+  }
   h = fnv1a(h, materialTable.data(), materialTable.size() * sizeof(Material));
   return h;
 }

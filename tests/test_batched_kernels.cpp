@@ -1,7 +1,8 @@
 // Equivalence of the batched cluster-ordered kernel pipeline with the
 // per-element reference path:
 //  * bitwise-identical receiver CSVs on the megathrust mini-scenario in
-//    deterministic mode (gravity + dynamic rupture + LTS all active),
+//    deterministic mode (gravity + dynamic rupture + LTS all active), on
+//    every host-executable ISA variant of the stage kernels,
 //  * full DOF agreement to 1e-12 in the default (non-deterministic) mode,
 //  * the relayout gather/scatter round-trips modal data exactly,
 //  * the batch layout is a permutation partition of the element set.
@@ -19,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "force_isa_guard.hpp"
+#include "kernels/backends/isa_dispatch.hpp"
 #include "kernels/batch_layout.hpp"
+#include "kernels/element_kernels.hpp"
 #include "scenario/megathrust.hpp"
 #include "scenario/plane_wave.hpp"
 #include "solver/simulation.hpp"
@@ -62,18 +66,13 @@ std::string fileBytes(const std::string& path) {
   return ss.str();
 }
 
-// The acceptance criterion of the batched pipeline: on the megathrust
-// scenario (exercising gravity faces, rupture faces, folded boundaries,
-// and a multi-cluster LTS layout at once) the batched path reproduces the
-// reference path's receiver output BYTE-for-byte in deterministic mode.
-TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
-  ThreadCountGuard guard;
-  const auto ref = megathrustMini(KernelPath::kReference, true, 8);
-  const auto bat = megathrustMini(KernelPath::kBatched, true, 8);
-  ASSERT_EQ(ref->numReceivers(), bat->numReceivers());
-  for (int r = 0; r < ref->numReceivers(); ++r) {
-    const Receiver& rr = ref->receiver(r);
-    const Receiver& rb = bat->receiver(r);
+/// Receiver series (and their CSV bytes), seafloor uplift and the raw
+/// modal state of `bat` equal those of `ref` bit for bit.
+void expectBitwiseEqual(const Simulation& ref, const Simulation& bat) {
+  ASSERT_EQ(ref.numReceivers(), bat.numReceivers());
+  for (int r = 0; r < ref.numReceivers(); ++r) {
+    const Receiver& rr = ref.receiver(r);
+    const Receiver& rb = bat.receiver(r);
     ASSERT_EQ(rr.samples.size(), rb.samples.size());
     ASSERT_FALSE(rr.samples.empty());
     for (std::size_t i = 0; i < rr.samples.size(); ++i) {
@@ -93,15 +92,37 @@ TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
     std::remove(pb.c_str());
   }
   // Seafloor uplift accumulators and the raw modal state agree exactly.
-  const auto sr = ref->seafloor();
-  const auto sb = bat->seafloor();
+  const auto sr = ref.seafloor();
+  const auto sb = bat.seafloor();
   ASSERT_EQ(sr.size(), sb.size());
   for (std::size_t i = 0; i < sr.size(); ++i) {
     EXPECT_EQ(sr[i].uplift, sb[i].uplift);
   }
-  ASSERT_EQ(ref->dofsData().size(), bat->dofsData().size());
-  EXPECT_EQ(0, std::memcmp(ref->dofsData().data(), bat->dofsData().data(),
-                           ref->dofsData().size() * sizeof(real)));
+  ASSERT_EQ(ref.dofsData().size(), bat.dofsData().size());
+  EXPECT_EQ(0, std::memcmp(ref.dofsData().data(), bat.dofsData().data(),
+                           ref.dofsData().size() * sizeof(real)));
+}
+
+// The acceptance criterion of the batched pipeline: on the megathrust
+// scenario (exercising gravity faces, rupture faces, folded boundaries,
+// and a multi-cluster LTS layout at once) the batched path reproduces the
+// reference path's receiver output BYTE-for-byte in deterministic mode.
+//
+// The batched backend runs the dispatched per-ISA stage-kernel table, so
+// the contract is checked for every variant the host can execute.
+TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
+  ThreadCountGuard guard;
+  ForceIsaGuard isaGuard;
+  const auto ref = megathrustMini(KernelPath::kReference, true, 8);
+  for (const FastIsa isa : {FastIsa::kScalar, FastIsa::kSse2, FastIsa::kAvx2,
+                            FastIsa::kAvx512}) {
+    if (!fastIsaSupported(isa)) {
+      continue;
+    }
+    SCOPED_TRACE(fastIsaName(isa));
+    setenv("TSG_FORCE_ISA", fastIsaName(isa), 1);
+    expectBitwiseEqual(*ref, *megathrustMini(KernelPath::kBatched, true, 8));
+  }
 }
 
 // In the default non-deterministic mode the loop schedules differ but
@@ -172,6 +193,57 @@ TEST(BatchedKernels, GatherScatterRoundTripsBitwise) {
   }
   // Negative zero round-trips with its sign bit.
   EXPECT_TRUE(std::signbit(dst[4 * elemStride]));
+}
+
+// The tile Taylor integral overwrites its output at k = 0 instead of
+// zero-filling it first; it must still reproduce the reference's
+// zero-fill-then-add bits, including +0 for an all-(-0) expansion (the
+// end-to-end runs above rarely produce an exact -0 coefficient).
+TEST(BatchedKernels, TileTaylorIntegralKeepsReferenceSignOfZero) {
+  const ReferenceMatrices& rm = referenceMatrices(2);
+  const int width = 3, ld = 9 * width;
+  const std::size_t nbq = static_cast<std::size_t>(rm.nb) * 9;
+  const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
+  std::vector<real> stackTiles((rm.degree + 1) * tileSize);
+  for (std::size_t i = 0; i < stackTiles.size(); ++i) {
+    stackTiles[i] = std::cos(0.37 * static_cast<real>(i));
+  }
+  // Lane 1 holds an all-(-0) expansion.
+  for (int k = 0; k <= rm.degree; ++k) {
+    for (int l = 0; l < rm.nb; ++l) {
+      for (int q = 0; q < 9; ++q) {
+        stackTiles[k * tileSize + l * ld + 9 + q] = -0.0;
+      }
+    }
+  }
+  const real dt = 0.0123;
+  std::vector<real> stack((rm.degree + 1) * nbq), expected(nbq);
+  for (const FastIsa isa : {FastIsa::kScalar, FastIsa::kSse2, FastIsa::kAvx2,
+                            FastIsa::kAvx512}) {
+    if (!fastIsaSupported(isa)) {
+      continue;
+    }
+    std::vector<real> outTile(tileSize, 99.0);
+    fastStageKernels(isa).taylorIntegrate(rm, stackTiles.data(), 0.0, dt,
+                                          outTile.data(), width, ld);
+    for (int lane = 0; lane < width; ++lane) {
+      for (int k = 0; k <= rm.degree; ++k) {
+        for (int l = 0; l < rm.nb; ++l) {
+          std::memcpy(&stack[k * nbq + l * 9],
+                      &stackTiles[k * tileSize + l * ld + lane * 9],
+                      9 * sizeof(real));
+        }
+      }
+      taylorIntegrate(rm, stack.data(), 0.0, dt, expected.data());
+      for (int l = 0; l < rm.nb; ++l) {
+        EXPECT_EQ(0, std::memcmp(&expected[l * 9],
+                                 &outTile[l * ld + lane * 9],
+                                 9 * sizeof(real)))
+            << fastIsaName(isa) << " lane " << lane << " row " << l;
+      }
+    }
+    EXPECT_FALSE(std::signbit(outTile[ld + 9])) << fastIsaName(isa);
+  }
 }
 
 TEST(BatchedKernels, AutoBatchSizeIsBoundedMultipleOf4) {

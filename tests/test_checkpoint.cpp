@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -27,6 +28,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "solver/simulation.hpp"
+#include "solver/simulation_assets.hpp"
 
 namespace tsg {
 namespace {
@@ -95,6 +97,49 @@ TEST(Checkpoint, BinaryRoundTrip) {
   EXPECT_EQ(r.readU32(), 7u);
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_THROW(r.readReal(), CheckpointError);
+}
+
+// The checkpoint's asset hash must be a function of the mesh VALUES:
+// FaceInfo has padding bytes after `bc`, and hashing them made the same
+// mesh hash differently from one process to the next.
+TEST(Checkpoint, AssetHashIgnoresFaceInfoPadding) {
+  BoxMeshSpec spec;
+  spec.xLines = uniformLine(0, 1000, 3);
+  spec.yLines = uniformLine(0, 1000, 3);
+  spec.zLines = uniformLine(-800, 0, 3);
+  const Mesh mesh = buildBoxMesh(spec);
+  // Two copies whose face storage is pre-filled with different bytes
+  // before the fields are assigned one by one.
+  auto refill = [&](unsigned char fill) {
+    Mesh m = mesh;
+    for (std::size_t e = 0; e < m.faces.size(); ++e) {
+      for (int f = 0; f < 4; ++f) {
+        FaceInfo* slot = &m.faces[e][f];
+        std::memset(static_cast<void*>(slot), fill, sizeof(FaceInfo));
+        const FaceInfo& src = mesh.faces[e][f];
+        slot->neighbor = src.neighbor;
+        slot->neighborFace = src.neighborFace;
+        slot->permutation = src.permutation;
+        slot->bc = src.bc;
+      }
+    }
+    return m;
+  };
+  const Mesh zeros = refill(0x00);
+  const Mesh ones = refill(0xFF);
+  ASSERT_NE(0, std::memcmp(zeros.faces.data(), ones.faces.data(),
+                           zeros.faces.size() * sizeof(zeros.faces[0])))
+      << "FaceInfo has no padding left to test";
+  const std::vector<Material> mats{Material::fromVelocities(2700, 6000, 3464)};
+  EXPECT_EQ(computeAssetHash(zeros, mats, AssetConfig{}),
+            computeAssetHash(ones, mats, AssetConfig{}));
+  EXPECT_EQ(computeAssetHash(zeros, mats, AssetConfig{}),
+            computeAssetHash(mesh, mats, AssetConfig{}));
+  // A field change still changes the hash.
+  Mesh moved = zeros;
+  moved.faces[0][0].permutation += 1;
+  EXPECT_NE(computeAssetHash(zeros, mats, AssetConfig{}),
+            computeAssetHash(moved, mats, AssetConfig{}));
 }
 
 TEST(Checkpoint, SmallSimRoundTripIsBitwiseExact) {

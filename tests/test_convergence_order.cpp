@@ -96,7 +96,7 @@ TEST(ConvergenceOrder, ElasticDegree3Fast) {
 
 // The two pipelines must not merely both converge -- on identical input
 // they must produce identical errors (they are the same discretisation;
-// see test_batched_kernels.cpp for the bitwise statement).
+// see the BatchedKernels suite for the bitwise statement).
 TEST(ConvergenceOrder, PathsAgreeOnError) {
   const AnalyticCase c = elasticStandingWaveCase(3);
   const real eb = runCase(c, 2, KernelPath::kBatched, 0.1);

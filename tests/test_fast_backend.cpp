@@ -1,9 +1,9 @@
 // Acceptance tests of the fast backend and its runtime ISA dispatch:
 //  * on the megathrust mini-scenario (gravity + rupture + LTS) the fast
 //    path agrees with the reference path to 1e-9 relative on every
-//    receiver sample -- the fast backend's accuracy contract (it shares
-//    the batched tile driver but compiles its stage kernels per ISA with
-//    -ffp-contract=off, so it is NOT pinned bitwise to reference),
+//    receiver sample -- the fast backend's accuracy contract (it is the
+//    batched backend plus FTZ|DAZ, so it is NOT pinned bitwise to
+//    reference),
 //  * every compiled ISA variant (TSG_FORCE_ISA = scalar | sse2 | avx2 |
 //    avx512) produces BITWISE-identical receiver series and DOF vectors:
 //    the variants share one accumulation order and forbid FMA
@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/kernel_path.hpp"
+#include "force_isa_guard.hpp"
 #include "kernels/backends/isa_dispatch.hpp"
 #include "scenario/megathrust.hpp"
 #include "solver/cluster_scheduler.hpp"
@@ -35,27 +36,6 @@ namespace {
 struct ThreadCountGuard {
   int saved = omp_get_max_threads();
   ~ThreadCountGuard() { omp_set_num_threads(saved); }
-};
-
-/// Save/restore TSG_FORCE_ISA around a test so a failure cannot leak a
-/// forced ISA into later tests (the variable is read at Simulation
-/// construction time).
-struct ForceIsaGuard {
-  std::string saved;
-  bool hadValue = false;
-  ForceIsaGuard() {
-    if (const char* v = std::getenv("TSG_FORCE_ISA")) {
-      saved = v;
-      hadValue = true;
-    }
-  }
-  ~ForceIsaGuard() {
-    if (hadValue) {
-      setenv("TSG_FORCE_ISA", saved.c_str(), 1);
-    } else {
-      unsetenv("TSG_FORCE_ISA");
-    }
-  }
 };
 
 std::unique_ptr<Simulation> megathrustMini(KernelPath path, int threads) {

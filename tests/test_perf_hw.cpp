@@ -1,11 +1,12 @@
 // Hardware-counter profiling and model validation:
-//  * the extended "tsg-perf-1" report carries busy_seconds AND
-//    wall_seconds per phase (with `seconds` kept as a compatibility
-//    alias) and declares its counter state via `hw_counters`,
+//  * the "tsg-perf-2" report carries busy_seconds AND wall_seconds per
+//    phase (no `seconds` alias) and declares its counter state via
+//    `hw_counters`,
 //  * degradation is forced (TSG_NO_HW_COUNTERS) and pinned: the report
 //    omits every hardware field and nothing fails,
 //  * probeHost() is internally consistent (peak = cores x GHz x
-//    flops/cycle, measured roofline points sit under the roofs),
+//    flops/cycle, measured roofline points sit under the roofs), and its
+//    clock fallback chain (resolveGhz) takes each of its four sources,
 //  * "tsg-modelcheck-1" emits the roofline table and the
 //    measured-vs-predicted drift section,
 //  * the fleet roll-up ("tsg-fleetperf-1") aggregates member phase
@@ -40,16 +41,21 @@ void spinABit() {
   (void)acc;
 }
 
-/// Record one serial bracket per phase (the legacy path counts towards
-/// both busy and wall time).  PerfMonitor holds a mutex, so it is
-/// filled in place rather than returned.
+/// Record one wave per phase the way the scheduler does: a wall-owner
+/// PerfThreadRecorder brackets each wave (wall) around one busy bracket,
+/// then flushes once.  PerfMonitor holds a mutex, so it is filled in
+/// place rather than returned.
 void measurePhases(PerfMonitor& m) {
+  PerfThreadRecorder rec(&m, /*numClusters=*/1, /*wallOwner=*/true);
   for (int p = 0; p < kNumPhases; ++p) {
-    m.beginPhase(static_cast<Phase>(p), 0);
+    rec.waveBegin();
+    rec.begin();
     spinABit();
-    m.endPhase(static_cast<Phase>(p), 0, /*elements=*/64,
-               /*bytesEstimate=*/64 * 4096);
+    rec.end(static_cast<Phase>(p), 0, /*elements=*/64,
+            /*bytesEstimate=*/64 * 4096);
+    rec.waveEnd(static_cast<Phase>(p));
   }
+  rec.flush(/*thread=*/0);
 }
 
 PerfReportMeta minimalMeta() {
@@ -64,16 +70,20 @@ PerfReportMeta minimalMeta() {
   return meta;
 }
 
-// ------------------------------------------------ tsg-perf-1 extension
+// ------------------------------------------------------- tsg-perf-2
 
-TEST(PerfReport, EmitsBusyAndWallSecondsWithCompatAlias) {
+TEST(PerfReport, EmitsBusyAndWallSeconds) {
   PerfMonitor m;
   measurePhases(m);
   for (int p = 0; p < kNumPhases; ++p) {
     const Phase ph = static_cast<Phase>(p);
-    EXPECT_GT(m.total(ph).seconds, 0.0) << phaseName(ph);
-    // Serial brackets count towards both time bases, identically.
-    EXPECT_DOUBLE_EQ(m.total(ph).seconds, m.wallSeconds(ph)) << phaseName(ph);
+    const PhaseStats s = m.total(ph);
+    EXPECT_GT(s.seconds, 0.0) << phaseName(ph);
+    // The wave bracket encloses the busy bracket.
+    EXPECT_GE(m.wallSeconds(ph), s.seconds) << phaseName(ph);
+    EXPECT_EQ(s.invocations, 1u) << phaseName(ph);
+    EXPECT_EQ(s.elementUpdates, 64u) << phaseName(ph);
+    EXPECT_EQ(s.bytesEstimate, 64u * 4096u) << phaseName(ph);
   }
   EXPECT_DOUBLE_EQ(m.totalWallSeconds(),
                    m.wallSeconds(Phase::kPredictor) +
@@ -81,10 +91,12 @@ TEST(PerfReport, EmitsBusyAndWallSecondsWithCompatAlias) {
                        m.wallSeconds(Phase::kCorrector));
 
   const std::string json = perfReportJson(m, minimalMeta());
-  EXPECT_NE(json.find("\"schema\": \"tsg-perf-1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"tsg-perf-2\""), std::string::npos);
   EXPECT_NE(json.find("\"busy_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"seconds\""), std::string::npos);  // compat alias
+  // The tsg-perf-1 `seconds` alias is gone (this report has no spans,
+  // the only other place the key appears).
+  EXPECT_EQ(json.find("\"seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"hw_counters\""), std::string::npos);
 }
 
@@ -187,9 +199,6 @@ TEST(HostProbe, InternallyConsistentPeakAndRidge) {
   EXPECT_EQ(host.threads, 1);
   EXPECT_GT(host.ghz, 0.4);
   EXPECT_LT(host.ghz, 7.0);
-  EXPECT_TRUE(host.ghzSource == "cycle_counter" ||
-              host.ghzSource == "cpu_model" || host.ghzSource == "default")
-      << host.ghzSource;
   // DP flops/cycle follows the dispatched ISA tier.
   EXPECT_TRUE(host.flopsPerCyclePerCore == 2 ||
               host.flopsPerCyclePerCore == 4 ||
@@ -210,6 +219,41 @@ TEST(HostProbe, InternallyConsistentPeakAndRidge) {
               host.peakGflops, 1e-9 * host.peakGflops);
 }
 
+// The clock fallback chain, host-free: each source wins exactly when
+// every earlier one yields nothing.
+TEST(HostProbe, GhzFallbackChainTakesEachSource) {
+  const std::string noRate = "Intel(R) Xeon(R) Processor";
+  const std::string withRate = "Intel(R) Xeon(R) CPU E5-2680 v4 @ 2.40GHz";
+  const std::string cpuinfo =
+      "processor\t: 0\nmodel name\t: Intel(R) Xeon(R) Processor\n"
+      "cpu MHz\t\t: 2100.000\n";
+
+  GhzEstimate g = resolveGhz(3.1, withRate, cpuinfo);
+  EXPECT_EQ(g.source, GhzSource::kCycleCounter);
+  EXPECT_DOUBLE_EQ(g.ghz, 3.1);
+
+  g = resolveGhz(0, withRate, cpuinfo);
+  EXPECT_EQ(g.source, GhzSource::kCpuModel);
+  EXPECT_DOUBLE_EQ(g.ghz, 2.4);
+
+  // A model string without a rate falls through to /proc/cpuinfo.
+  g = resolveGhz(0, noRate, cpuinfo);
+  EXPECT_EQ(g.source, GhzSource::kCpuMhz);
+  EXPECT_DOUBLE_EQ(g.ghz, 2.1);
+
+  g = resolveGhz(0, noRate, "processor\t: 0\n");
+  EXPECT_EQ(g.source, GhzSource::kDefault);
+  EXPECT_DOUBLE_EQ(g.ghz, 2.5);
+
+  // One report spelling per source, all distinct.
+  const std::vector<std::string> names = {
+      ghzSourceName(GhzSource::kCycleCounter),
+      ghzSourceName(GhzSource::kCpuModel), ghzSourceName(GhzSource::kCpuMhz),
+      ghzSourceName(GhzSource::kDefault)};
+  EXPECT_EQ(names, (std::vector<std::string>{"cycle_counter", "cpu_model",
+                                             "cpu_mhz", "default"}));
+}
+
 TEST(HostProbe, RooflinePointsSitUnderTheRoofs) {
   const HostProbe host = probeHost(/*threads=*/1);
   PerfMonitor m;
@@ -220,7 +264,7 @@ TEST(HostProbe, RooflinePointsSitUnderTheRoofs) {
     EXPECT_GT(r.busySeconds, 0.0);
     EXPECT_GE(r.flopPerByte, 0.0);
     EXPECT_GE(r.fractionOfRoof, 0.0);
-    // The serial-bracket monitor did no counted FLOPs, so every point
+    // The spin-only monitor did no counted FLOPs, so every point
     // must sit (far) below peak; the classification itself must agree
     // with the ridge (zero-intensity phases carry no signal and are
     // never called memory-bound).
@@ -277,7 +321,9 @@ TEST(ModelCheck, SchemaCarriesRooflineAndDrift) {
   EXPECT_NE(json.find("\"measured_over_predicted\""), std::string::npos);
   EXPECT_NE(json.find("\"per_cluster\""), std::string::npos);
   // Degradation provenance is always declared.
-  EXPECT_NE(json.find("\"ghz_source\""), std::string::npos);
+  EXPECT_NE(json.find("\"ghz_source\": \"" +
+                      std::string(ghzSourceName(host.ghzSource)) + "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"intensity_source\""), std::string::npos);
 }
 

@@ -5,7 +5,7 @@
 #     SimulationAssets build), with the fleet status roll-up, the fleet
 #     perf roll-up, and per-member model-check reports on,
 #  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, the
-#     tsg-fleetperf-1 roll-up (+ member tsg-perf-1 drill-down), and a
+#     tsg-fleetperf-1 roll-up (+ member tsg-perf-2 drill-down), and a
 #     member's tsg-modelcheck-1 report,
 #  3. re-run one expanded member config through the standalone CLI and
 #     assert its receiver CSVs are byte-identical to the ensemble's,
@@ -109,7 +109,7 @@ for m in fp["members"]:
     assert m["ok"] and m["kernel_busy_seconds"] > 0, m
     # The referenced drill-down report exists and is the member's own.
     rep = json.load(open(m["perf_report"]))
-    assert rep["schema"] == "tsg-perf-1", m["perf_report"]
+    assert rep["schema"] == "tsg-perf-2", m["perf_report"]
     assert rep["total"]["busy_seconds"] > 0, m["perf_report"]
     assert "wall_seconds" in rep["total"], m["perf_report"]
     assert "hw_counters" in rep, m["perf_report"]

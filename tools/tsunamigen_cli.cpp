@@ -13,7 +13,7 @@
 //   tsunamigen_cli --example-config     (prints a template and exits)
 //
 // --perf-report writes the per-phase x per-cluster kernel performance
-// breakdown (schema "tsg-perf-1", default path <output_prefix>_perf.json);
+// breakdown (schema "tsg-perf-2", default path <output_prefix>_perf.json);
 // --trace additionally writes a chrome://tracing-compatible event file
 // (default <output_prefix>_trace.json) covering kernel phases plus
 // checkpoint, output-I/O, health-scan, and telemetry spans.

@@ -19,7 +19,7 @@
 // <prefix>_fleet_status.json) plus per-member heartbeats.
 // --fleet-perf enables each member's perf monitor and aggregates the
 // per-phase measurements into a "tsg-fleetperf-1" roll-up (default
-// <prefix>_fleet_perf.json; per-member tsg-perf-1 files stay on disk
+// <prefix>_fleet_perf.json; per-member tsg-perf-2 files stay on disk
 // for drill-down); --model-check additionally writes each member's
 // "tsg-modelcheck-1" host-roofline / perfmodel-drift report.
 //

@@ -8,6 +8,7 @@
 // simplex, which makes the DG mass matrix the identity and the ADER-DG
 // update quadrature-free (paper Sec. 4.1).
 
+#include <array>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,6 +32,19 @@ Vec3 dubinerTetGradient(int l, int degree, const Vec3& xi);
 
 /// All basis values at a point, in linear-index order.
 void dubinerTetAll(int degree, const Vec3& xi, real* values);
+
+/// Point value of one element's modal DOFs q ([nb][9]) from the basis values
+/// phi there, summed in ascending l: the order of every point evaluation.
+inline std::array<real, kNumQuantities> evaluateModes(const real* phi,
+                                                      const real* q, int nb) {
+  std::array<real, kNumQuantities> val{};
+  for (int l = 0; l < nb; ++l) {
+    for (int p = 0; p < kNumQuantities; ++p) {
+      val[p] += phi[l] * q[l * kNumQuantities + p];
+    }
+  }
+  return val;
+}
 
 struct TriBasisIndex {
   int p, q;

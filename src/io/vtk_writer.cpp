@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "basis/dubiner.hpp"
 #include "io/atomic_file.hpp"
 
 namespace tsg {
@@ -65,11 +66,14 @@ void writeVtkWavefield(const std::string& path, const Simulation& sim) {
   }
   auto& pressure = fields["pressure"];
   pressure.resize(mesh.numElements());
-  const Vec3 centroidXi{0.25, 0.25, 0.25};
-  for (int e = 0; e < mesh.numElements(); ++e) {
-    const auto v = sim.evaluate(e, centroidXi);
-    for (int q = 0; q < kNumQuantities; ++q) {
-      fields[kNames[q]][e] = v[q];
+  const int nb = basisSize(sim.config().degree);
+  std::vector<real> phi(nb);
+  dubinerTetAll(sim.config().degree, {0.25, 0.25, 0.25}, phi.data());
+  const real* q = sim.dofsData().data();
+  for (int e = 0; e < mesh.numElements(); ++e, q += nb * kNumQuantities) {
+    const auto v = evaluateModes(phi.data(), q, nb);
+    for (int p = 0; p < kNumQuantities; ++p) {
+      fields[kNames[p]][e] = v[p];
     }
     pressure[e] = -(v[kSxx] + v[kSyy] + v[kSzz]) / 3.0;
   }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "basis/dubiner.hpp"
 #include "common/span.hpp"
 #include "common/types.hpp"
 #include "geometry/mesh.hpp"
@@ -136,17 +137,10 @@ struct SolverState {
 
   /// Sample every receiver hosted by `elem` at the end of its interval.
   void sampleReceivers(int elem, std::int64_t tick) {
-    const real* q = dofsOf(elem);
     for (int rid : receiversOfElement[elem]) {
       Receiver& r = receivers[rid];
-      std::array<real, kNumQuantities> val{};
-      for (int l = 0; l < rm->nb; ++l) {
-        for (int p = 0; p < kNumQuantities; ++p) {
-          val[p] += r.phi[l] * q[l * kNumQuantities + p];
-        }
-      }
       r.times.push_back(clusters->dtMin * static_cast<real>(tick));
-      r.samples.push_back(val);
+      r.samples.push_back(evaluateModes(r.phi.data(), dofsOf(elem), rm->nb));
     }
   }
 };

@@ -391,11 +391,12 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
       writePerfReport(o.perfReportPath, *perf,
                       sim->perfReportMeta(scenarioName));
       char note[64];
-      std::snprintf(note, sizeof note, " (kernel time %.3f s)",
-                    perf->totalSeconds());
+      std::snprintf(note, sizeof note, " (kernel wall %.3f s, busy %.3f s)",
+                    perf->totalWallSeconds(), perf->totalSeconds());
       logInfo("perf_report", "wrote " + o.perfReportPath + note,
               {logStr("path", o.perfReportPath),
-               logNum("kernel_seconds", perf->totalSeconds())});
+               logNum("kernel_wall_seconds", perf->totalWallSeconds()),
+               logNum("kernel_busy_seconds", perf->totalSeconds())});
     }
     if (!o.tracePath.empty()) {
       perf->writeChromeTrace(o.tracePath);

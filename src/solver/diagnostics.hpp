@@ -6,7 +6,10 @@
 //   E = int ( rho |v|^2 / 2  +  strain energy ) dV
 // with the isotropic strain energy density
 //   e_el = 1/(4 mu) ( sigma:sigma - lambda/(3 lambda + 2 mu) tr(sigma)^2 )
-// in elastic media and  e_ac = p^2 / (2 K)  in acoustic media.
+// in elastic media and  e_ac = p^2 / (2 K)  in acoustic media.  Elements
+// are affine with constant material and the Dubiner basis is orthonormal,
+// so each term is an exact quadratic form in the modal DOFs Q[l][p]:
+//   int q^T M q dV = 6 V * sum_l Q[l,:]^T M Q[l,:]   (O(DOF), no quadrature).
 //
 // In a closed (rigid-wall) domain the continuous coupled problem conserves
 // E; the upwind DG scheme may only dissipate it -- a strong stability
@@ -25,7 +28,7 @@ struct EnergyBudget {
   real total() const { return kinetic + strainElastic + strainAcoustic; }
 };
 
-/// Quadrature-exact energy integrals of the current simulation state.
+/// Exact energy integrals of the current state (serial, ascending elements).
 EnergyBudget computeEnergy(const Simulation& sim);
 
 }  // namespace tsg

@@ -255,15 +255,9 @@ PerfReportMeta Simulation::perfReportMeta(const std::string& scenario) const {
 
 std::array<real, kNumQuantities> Simulation::evaluate(int elem,
                                                       const Vec3& xi) const {
-  std::array<real, kNumQuantities> val{};
-  const real* q = state_.dofsOf(elem);
-  for (int l = 0; l < rm_.nb; ++l) {
-    const real phi = dubinerTet(l, cfg_.degree, xi);
-    for (int p = 0; p < kNumQuantities; ++p) {
-      val[p] += phi * q[l * kNumQuantities + p];
-    }
-  }
-  return val;
+  std::array<real, basisSize(kMaxDegree)> phi{};
+  dubinerTetAll(cfg_.degree, xi, phi.data());
+  return evaluateModes(phi.data(), state_.dofsOf(elem), rm_.nb);
 }
 
 int Simulation::findElement(const Vec3& x) const {

@@ -144,7 +144,7 @@ class Simulation {
   PerfReportMeta perfReportMeta(const std::string& scenario) const;
 
   /// Raw modal coefficients ([element][nb][9]); read-only, used by the
-  /// kernel-equivalence and relayout property tests.
+  /// energy diagnostics, the wavefield VTK and the kernel tests.
   const std::vector<real>& dofsData() const { return state_.dofs; }
   /// Cluster-contiguous batch layout of tile-based backends (built on
   /// first advance; empty for the reference backend).

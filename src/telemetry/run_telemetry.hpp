@@ -25,12 +25,12 @@
 //    for gravity-eta RK updates and receiver samples (which happen
 //    inside parallel kernel regions and cannot be spanned individually).
 //
-// Cost model: capture runs computeEnergy (one quadrature pass over all
-// elements, same as the health monitor's existing per-cycle check) plus
-// O(faces + receivers) reductions; the JSONL rewrite is O(samples so
-// far), so long runs should set a metricsInterval that keeps the stream
-// to a few thousand records.  With no telemetry configured nothing is
-// attached and the stepping loop is untouched (zero cost).
+// Cost model: capture runs computeEnergy (an O(DOF) modal sum, same as
+// the health monitor's per-cycle check) plus O(faces + receivers)
+// reductions; the JSONL rewrite is O(samples so far), so long runs
+// should set a metricsInterval that keeps the stream to a few thousand
+// records.  With no telemetry configured nothing is attached and the
+// stepping loop is untouched (zero cost).
 
 #include <deque>
 #include <string>

@@ -1,6 +1,8 @@
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -8,8 +10,10 @@
 
 #include "common/config.hpp"
 #include "common/errors.hpp"
+#include "common/kernel_path.hpp"
 #include "geometry/mesh_builder.hpp"
 #include "io/vtk_writer.hpp"
+#include "kernels/reference_matrices.hpp"
 #include "linking/kajiura.hpp"
 #include "solver/diagnostics.hpp"
 #include "solver/simulation.hpp"
@@ -150,6 +154,105 @@ TEST(Vtk, SurfaceFile) {
   std::remove(path.c_str());
 }
 
+// Quadrature oracle for computeEnergy: the energy densities evaluated
+// pointwise at every volume quadrature point of every element.
+EnergyBudget quadratureEnergy(const Simulation& sim) {
+  const auto& rm = referenceMatrices(sim.config().degree);
+  const Mesh& mesh = sim.mesh();
+  EnergyBudget e;
+  for (int elem = 0; elem < mesh.numElements(); ++elem) {
+    const Material& m = sim.materialOf(elem);
+    const real jac = 6.0 * mesh.volume(elem);
+    real kin = 0, strain = 0;
+    for (std::size_t i = 0; i < rm.volQuadXi.size(); ++i) {
+      const auto q = sim.evaluate(elem, rm.volQuadXi[i]);
+      const real w = rm.volQuadW[i] * jac;
+      kin += w * 0.5 * m.rho *
+             (q[kVx] * q[kVx] + q[kVy] * q[kVy] + q[kVz] * q[kVz]);
+      if (m.isAcoustic()) {
+        const real p = -(q[kSxx] + q[kSyy] + q[kSzz]) / 3.0;
+        strain += w * p * p / (2.0 * m.lambda);
+      } else {
+        const real tr = q[kSxx] + q[kSyy] + q[kSzz];
+        const real ss = q[kSxx] * q[kSxx] + q[kSyy] * q[kSyy] +
+                        q[kSzz] * q[kSzz] +
+                        2.0 * (q[kSxy] * q[kSxy] + q[kSyz] * q[kSyz] +
+                               q[kSxz] * q[kSxz]);
+        strain += w / (4.0 * m.mu) *
+                  (ss - m.lambda / (3.0 * m.lambda + 2.0 * m.mu) * tr * tr);
+      }
+    }
+    e.kinetic += kin;
+    if (m.isAcoustic()) {
+      e.strainAcoustic += strain;
+    } else {
+      e.strainElastic += strain;
+    }
+  }
+  return e;
+}
+
+// Uniform in [-1, 1), a pure function of (x, p): projecting it gives
+// every element pseudo-random DOFs in every mode, independently of the
+// thread that evaluates the initial condition.
+real hashedUniform(const Vec3& x, int p) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(p + 1);
+  for (const real c : x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &c, sizeof bits);
+    h ^= bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    h ^= h >> 31;
+  }
+  return static_cast<real>(h >> 11) * 0x1.0p-52 - 1.0;
+}
+
+TEST(Energy, ModalFormMatchesQuadratureOracle) {
+  // Stretched, deformed box: elements of unequal volume, two elastic
+  // layers under an acoustic one.
+  BoxMeshSpec spec;
+  spec.xLines = {0.0, 0.3, 1.0};
+  spec.yLines = {0.0, 0.6, 1.0};
+  spec.zLines = {0.0, 0.2, 0.55, 0.7, 1.0};
+  spec.deformZ = [](real x, real y, real z) {
+    return z * (1.0 + 0.1 * x * (1.0 - y));
+  };
+  spec.material = [](const Vec3& c) {
+    if (c[2] > 0.7) {
+      return 2;
+    }
+    return c[2] > 0.2 ? 1 : 0;
+  };
+  const std::vector<Material> mats = {Material::fromVelocities(2.7, 6.0, 3.5),
+                                      Material::fromVelocities(2.0, 3.0, 1.2),
+                                      Material::acoustic(1.0, 1.5)};
+  for (int degree = 1; degree <= kMaxDegree; ++degree) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    SolverConfig cfg;
+    cfg.degree = degree;
+    cfg.gravity = 0;
+    Simulation sim(buildBoxMesh(spec), mats, cfg);
+    sim.setInitialCondition([](const Vec3& x, int) {
+      std::array<real, 9> q{};
+      for (int p = 0; p < kNumQuantities; ++p) {
+        q[p] = hashedUniform(x, p);
+      }
+      return q;
+    });
+    const EnergyBudget modal = computeEnergy(sim);
+    const EnergyBudget oracle = quadratureEnergy(sim);
+    ASSERT_GT(oracle.kinetic, 0);
+    ASSERT_GT(oracle.strainElastic, 0);
+    ASSERT_GT(oracle.strainAcoustic, 0);
+    EXPECT_NEAR(modal.kinetic, oracle.kinetic, 1e-12 * oracle.kinetic);
+    EXPECT_NEAR(modal.strainElastic, oracle.strainElastic,
+                1e-12 * oracle.strainElastic);
+    EXPECT_NEAR(modal.strainAcoustic, oracle.strainAcoustic,
+                1e-12 * oracle.strainAcoustic);
+  }
+}
+
 TEST(Energy, HydrostaticReductionForIsotropicStress) {
   // For isotropic stress the elastic strain energy density must equal
   // p^2 / (2K): verified through computeEnergy on a uniform state.
@@ -183,28 +286,34 @@ TEST(Energy, ClosedBoxConservesEnergyUpToUpwindDissipation) {
   spec.boundary = [](const Vec3&, const Vec3&) {
     return BoundaryType::kRigidWall;
   };
-  SolverConfig cfg;
-  cfg.degree = 3;
-  cfg.gravity = 0;
-  Simulation sim(buildBoxMesh(spec), {Material::fromVelocities(2, 2, 1)}, cfg);
-  const real k = 2 * M_PI;
-  sim.setInitialCondition([&](const Vec3& x, int) {
-    std::array<real, 9> q{};
-    q[kSxx] = 3.2 * k * std::cos(k * x[0]);
-    q[kSyy] = 1.2 * k * std::cos(k * x[0]);
-    q[kSzz] = q[kSyy];
-    return q;
-  });
-  const real e0 = computeEnergy(sim).total();
-  real prev = e0;
-  for (int s = 1; s <= 4; ++s) {
-    sim.advanceTo(0.1 * s);
-    const real e = computeEnergy(sim).total();
-    EXPECT_LE(e, prev * (1 + 1e-10)) << "energy grew at step " << s;
-    prev = e;
+  for (const KernelPath kp :
+       {KernelPath::kReference, KernelPath::kBatched, KernelPath::kFast}) {
+    SCOPED_TRACE(kernelPathName(kp));
+    SolverConfig cfg;
+    cfg.degree = 3;
+    cfg.gravity = 0;
+    cfg.kernelPath = kp;
+    Simulation sim(buildBoxMesh(spec), {Material::fromVelocities(2, 2, 1)},
+                   cfg);
+    const real k = 2 * M_PI;
+    sim.setInitialCondition([&](const Vec3& x, int) {
+      std::array<real, 9> q{};
+      q[kSxx] = 3.2 * k * std::cos(k * x[0]);
+      q[kSyy] = 1.2 * k * std::cos(k * x[0]);
+      q[kSzz] = q[kSyy];
+      return q;
+    });
+    const real e0 = computeEnergy(sim).total();
+    real prev = e0;
+    for (int s = 1; s <= 4; ++s) {
+      sim.advanceTo(0.1 * s);
+      const real e = computeEnergy(sim).total();
+      EXPECT_LE(e, prev * (1 + 1e-10)) << "energy grew at step " << s;
+      prev = e;
+    }
+    // Smooth field at order 3: dissipation must be small.
+    EXPECT_GT(prev, 0.9 * e0);
   }
-  // Smooth field at order 3: dissipation must be small.
-  EXPECT_GT(prev, 0.9 * e0);
 }
 
 TEST(Config, ParsesTypesAndTracksUnused) {

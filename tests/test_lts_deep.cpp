@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/mesh_builder.hpp"
+#include "solver/diagnostics.hpp"
 #include "solver/simulation.hpp"
 
 namespace tsg {
@@ -312,11 +313,13 @@ TEST(LtsDeep, EnergyDecaysInClosedAbsorbingDomain) {
   };
   sim.advanceTo(1.0);
   const real late = stateNorm();
+  const real lateEnergy = computeEnergy(sim).total();
   sim.advanceTo(2.0);
   const real later = stateNorm();
   // No blow-up; the field decays (energy radiated out).
   EXPECT_LT(later, late + 1e-9);
   EXPECT_LT(later, 1.0);
+  EXPECT_LT(computeEnergy(sim).total(), lateEnergy);
 }
 
 TEST(LtsDeep, SolverRejectsBadConfigurations) {

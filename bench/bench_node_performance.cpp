@@ -8,17 +8,30 @@
 // 376 GFLOPS.  We measure the same kernels on this host (google-benchmark)
 // and print the achieved fraction of this host's scalar peak next to the
 // paper's fractions, plus the NUMA-model table the cluster simulator uses.
+//
+// A second table times the tile-stage kernels themselves (the
+// StageKernels table of every ISA variant this host can execute) on the
+// megathrust production shapes: degree 2 (nb = 10), a full batch of 16
+// lanes (ld = 144).  It reports GFLOP/s and flop/cycle per core, so a
+// variant that silently stopped vectorising shows up as a ratio near 1
+// against `scalar`.  Written to node_performance_stages.csv.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <vector>
 
 #include "common/flops.hpp"
 #include "common/table.hpp"
+#include "kernels/backends/isa_dispatch.hpp"
+#include "kernels/batch_layout.hpp"
 #include "kernels/element_kernels.hpp"
 #include "kernels/reference_matrices.hpp"
+#include "perf/model_validation.hpp"
 #include "perfmodel/machine.hpp"
 #include "physics/jacobians.hpp"
 #include "physics/material.hpp"
@@ -141,11 +154,139 @@ void printNumaModel() {
   t.writeCsv("node_performance_model.csv");
 }
 
+// Operands of one megathrust tile: degree 2, a full batch of lanes.
+struct StageTile {
+  const ReferenceMatrices& rm = referenceMatrices(2);
+  int width = autoBatchSize(rm.nb, rm.degree);
+  int ld = kNumQuantities * width;
+  std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
+  std::vector<real> stack, tInt, dofs, scratch, faceScratch, starTB,
+      negStarTB, flux, laneScratch;
+  std::vector<const real*> fluxPtrs;
+  std::vector<NeighborFluxLane> lanes;
+
+  StageTile() {
+    std::mt19937 rng(11);
+    std::uniform_real_distribution<real> uni(-1, 1);
+    auto fill = [&](std::vector<real>& v, std::size_t n, real scale) {
+      v.resize(n);
+      for (real& x : v) {
+        x = scale * uni(rng);
+      }
+    };
+    fill(stack, (rm.degree + 1) * tileSize, 1);
+    fill(tInt, tileSize, 1);
+    fill(dofs, tileSize, 1);
+    fill(scratch, tileSize, 1);
+    fill(faceScratch, tileSize, 1);
+    fill(starTB, static_cast<std::size_t>(width) * 3 * 81, 1e-1);
+    negStarTB = starTB;
+    for (real& x : negStarTB) {
+      x = -x;
+    }
+    fill(flux, static_cast<std::size_t>(width) * 81, 1e-1);
+    fill(laneScratch, static_cast<std::size_t>(rm.nb) * kNumQuantities, 1);
+    const Matrix& fluxNeighbor = rm.fluxNeighbor[0][1][0];
+    for (int lane = 0; lane < width; ++lane) {
+      const real* f = flux.data() + static_cast<std::size_t>(lane) * 81;
+      fluxPtrs.push_back(f);
+      lanes.push_back({tInt.data() + lane * kNumQuantities, f,
+                       fluxNeighbor.data()});
+    }
+  }
+};
+
+/// One stage of one ISA table, timed as the best of many interleaved
+/// rounds: a shared host's noise comes and goes over seconds, so every
+/// probe samples every quiet spell.
+struct StageProbe {
+  const char* isa;
+  const char* stage;
+  int m, n, k;
+  std::function<void()> run;
+  double flops = 0;        // per call, from the kernels' own accounting
+  int calls = 1;           // per round, ~5 ms
+  double best = 1e300;     // seconds per call
+};
+
+void timeInterleaved(std::vector<StageProbe>& probes, int rounds) {
+  using clock = std::chrono::steady_clock;
+  auto seconds = [](StageProbe& p) {
+    const auto t0 = clock::now();
+    for (int i = 0; i < p.calls; ++i) {
+      p.run();
+    }
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  for (StageProbe& p : probes) {
+    const std::uint64_t f0 = threadFlops();
+    p.run();
+    p.flops = static_cast<double>(threadFlops() - f0);
+    while (seconds(p) < 5e-3) {
+      p.calls *= 2;
+    }
+  }
+  for (int r = 0; r < rounds; ++r) {
+    for (StageProbe& p : probes) {
+      p.best = std::min(p.best, seconds(p) / p.calls);
+    }
+  }
+}
+
+void printStageKernels() {
+  StageTile t;
+  const double ghz = probeHost(1).ghz;
+  const int nb = t.rm.nb, cols = t.ld, q = kNumQuantities;
+  std::vector<StageProbe> probes;
+  for (const FastIsa isa : {FastIsa::kScalar, FastIsa::kSse2, FastIsa::kAvx2,
+                            FastIsa::kAvx512}) {
+    if (!fastIsaSupported(isa)) {
+      continue;
+    }
+    const StageKernels& k = fastStageKernels(isa);
+    probes.push_back({k.isa, "wide_gemm", nb, cols, nb, [&t, &k, nb, cols] {
+      k.gemmAccStrided(nb, cols, nb, t.rm.dXi[0].data(), nb, t.tInt.data(),
+                       t.ld, t.dofs.data(), t.ld);
+    }});
+    probes.push_back({k.isa, "predictor", nb, cols, nb, [&t, &k] {
+      k.aderPredictor(t.rm, t.negStarTB.data(), t.stack.data(),
+                      t.scratch.data(), t.width, t.ld);
+    }});
+    probes.push_back({k.isa, "volume", nb, cols, nb, [&t, &k] {
+      k.volumeKernel(t.rm, t.starTB.data(), t.tInt.data(), t.dofs.data(),
+                     t.scratch.data(), t.width, t.ld);
+    }});
+    probes.push_back({k.isa, "local_flux", nb, q, q, [&t, &k, nb] {
+      k.localFluxStage(nb, t.width, t.ld, t.tInt.data(), t.fluxPtrs.data(),
+                       t.faceScratch.data());
+    }});
+    probes.push_back({k.isa, "neighbor_flux", nb, q, q, [&t, &k, nb] {
+      k.neighborFluxStage(nb, t.width, t.ld, t.lanes.data(),
+                          t.laneScratch.data(), t.dofs.data());
+    }});
+  }
+  timeInterleaved(probes, 20);
+  Table table({"isa", "stage", "m", "n", "k", "GFLOPS", "flop_per_cycle"});
+  for (const StageProbe& p : probes) {
+    const double gflops = p.flops / p.best * 1e-9;
+    table.row() << p.isa << p.stage << p.m << p.n << p.k << gflops
+                << gflops / ghz;
+  }
+  char title[160];
+  std::snprintf(title, sizeof title,
+                "Tile-stage kernels per ISA (degree 2, %d lanes, ld %d; "
+                "1 core at %.2f GHz, best of 20 interleaved rounds)",
+                t.width, t.ld, ghz);
+  table.print(title);
+  table.writeCsv("node_performance_stages.csv");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  printStageKernels();
   printNumaModel();
   std::printf("\nPaper reference (AMD Rome 7H12, peak 5325 GFLOPS):\n"
               "  predictor only:       3360 GFLOPS full node (63%% of peak)\n"

@@ -4,4 +4,5 @@
 #define TSG_FAST_NS fast_scalar
 #define TSG_FAST_ISA_NAME "scalar"
 #define TSG_FAST_ACCESSOR fastStageKernelsScalar
+#define TSG_FAST_VEC_WIDTH 1
 #include "kernels/backends/fast_stage_impl.inc"

@@ -46,18 +46,17 @@ bool fastIsaSupported(FastIsa isa) {
 }
 
 FastIsa detectFastIsa() {
-  // AVX2 is preferred over AVX-512 even where both are available: on the
-  // Xeon generations in wide deployment, sustained 512-bit execution
-  // triggers license-based frequency reduction that costs more than the
-  // doubled width returns on these moderate-arithmetic-intensity
-  // kernels (measured slower end-to-end on the megathrust bench, see
-  // ROADMAP.md).  AVX-512 stays available behind TSG_FORCE_ISA=avx512
-  // for hosts where it does win.
-  if (fastIsaSupported(FastIsa::kAvx2)) {
-    return FastIsa::kAvx2;
-  }
-  if (fastIsaSupported(FastIsa::kSse2)) {
-    return FastIsa::kSse2;
+  // The widest executable table.  Measured, not assumed: on a 4-core
+  // AVX-512F Xeon (2.1 GHz nominal), alternating min-of-5 runs of the
+  // megathrust_4t benchmark config took 0.879 s with the avx2 table and
+  // 0.757 s with avx512 (-14%; -10% on a second seed), and the 4-worker
+  // rupture sweep ran 17% faster on avx512, so no frequency licence
+  // eats the doubled width of the register-blocked kernels there.
+  // TSG_FORCE_ISA=avx2 pins the narrower table on a host where it wins.
+  for (const FastIsa isa : {FastIsa::kAvx512, FastIsa::kAvx2, FastIsa::kSse2}) {
+    if (fastIsaSupported(isa)) {
+      return isa;
+    }
   }
   return FastIsa::kScalar;
 }

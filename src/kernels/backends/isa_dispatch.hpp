@@ -23,9 +23,8 @@ const char* fastIsaName(FastIsa isa);
 /// executable; it just is not any faster.)
 bool fastIsaSupported(FastIsa isa);
 
-/// Fastest-expected host-supported ISA (AVX2 > SSE2 > scalar; AVX-512
-/// is never auto-selected because of license-based downclocking -- force
-/// it with TSG_FORCE_ISA=avx512 on hosts where it wins).
+/// Widest host-supported ISA: AVX-512 > AVX2 > SSE2 > scalar (see the
+/// measurement in isa_dispatch.cpp; TSG_FORCE_ISA pins another).
 FastIsa detectFastIsa();
 
 /// detectFastIsa(), unless TSG_FORCE_ISA is set, in which case the named

@@ -77,6 +77,11 @@ MachineSpec shaheen2() {
 
 std::vector<real> nodeSpeedFactors(const MachineSpec& machine, int nodes,
                                    unsigned seed) {
+  // A spread of zero (the probed single host) is a uniform machine;
+  // std::normal_distribution requires a positive standard deviation.
+  if (machine.nodeSpeedSigma <= 0) {
+    return std::vector<real>(nodes, real(1));
+  }
   std::mt19937 rng(seed);
   std::normal_distribution<real> gauss(1.0, machine.nodeSpeedSigma);
   std::vector<real> f(nodes);

@@ -64,7 +64,8 @@ MachineSpec mahti();
 /// Shaheen-II-like: dual-socket Intel Haswell E5-2698v3, Aries Dragonfly.
 MachineSpec shaheen2();
 
-/// Deterministic per-node speed factors (mean ~1) including outliers.
+/// Deterministic per-node speed factors (mean ~1) including outliers;
+/// all exactly 1 when nodeSpeedSigma <= 0.
 std::vector<real> nodeSpeedFactors(const MachineSpec& machine, int nodes,
                                    unsigned seed);
 

@@ -194,6 +194,20 @@ TEST(ExecModel, NodeWeightsMitigateSlowNodes) {
   EXPECT_GT(with.sustainedGflops, without.sustainedGflops);
 }
 
+// A zero spread (the probed-host spec) must not reach
+// std::normal_distribution, whose standard deviation has to be positive.
+TEST(ExecModel, ZeroNodeSpeedSigmaGivesUniformNodes) {
+  MachineSpec machine = superMucNg();
+  machine.nodeSpeedSigma = 0;
+  for (const int nodes : {1, 12, 50}) {
+    const std::vector<real> f = nodeSpeedFactors(machine, nodes, 7);
+    ASSERT_EQ(static_cast<int>(f.size()), nodes);
+    for (const real v : f) {
+      EXPECT_EQ(v, real(1));
+    }
+  }
+}
+
 TEST(Linking, RecorderInterpolatesInSpaceAndTime) {
   SeafloorUpliftRecorder rec(10, 10, 0.0, 0.0, 1.0, 1.0);
   auto makeSamples = [](real scale) {

@@ -8,6 +8,5 @@ const StageKernels& fastStageKernelsAvx2() { return fastStageKernelsScalar(); }
 #define TSG_FAST_ISA_NAME "avx2"
 #define TSG_FAST_ACCESSOR fastStageKernelsAvx2
 #define TSG_FAST_VEC_WIDTH 4
-#define TSG_FAST_LANE_ROWS 4
 #include "kernels/backends/fast_stage_impl.inc"
 #endif

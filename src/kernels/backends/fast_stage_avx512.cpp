@@ -10,6 +10,5 @@ const StageKernels& fastStageKernelsAvx512() {
 #define TSG_FAST_ISA_NAME "avx512"
 #define TSG_FAST_ACCESSOR fastStageKernelsAvx512
 #define TSG_FAST_VEC_WIDTH 8
-#define TSG_FAST_LANE_ROWS 5
 #include "kernels/backends/fast_stage_impl.inc"
 #endif

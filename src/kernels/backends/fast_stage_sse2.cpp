@@ -8,6 +8,5 @@ const StageKernels& fastStageKernelsSse2() { return fastStageKernelsScalar(); }
 #define TSG_FAST_ISA_NAME "sse2"
 #define TSG_FAST_ACCESSOR fastStageKernelsSse2
 #define TSG_FAST_VEC_WIDTH 2
-#define TSG_FAST_LANE_ROWS 2
 #include "kernels/backends/fast_stage_impl.inc"
 #endif

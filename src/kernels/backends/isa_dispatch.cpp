@@ -50,8 +50,10 @@ FastIsa detectFastIsa() {
   // AVX-512F Xeon (2.1 GHz nominal), alternating min-of-5 runs of the
   // megathrust_4t benchmark config took 0.879 s with the avx2 table and
   // 0.757 s with avx512 (-14%; -10% on a second seed), and the 4-worker
-  // rupture sweep ran 17% faster on avx512, so no frequency licence
-  // eats the doubled width of the register-blocked kernels there.
+  // rupture sweep benchmark (5 alternating 45 s runs each) took a median
+  // 3.02 s with avx2 and 2.59 s with avx512 (-14%, every pair won), so
+  // no frequency licence eats the doubled width of the register-blocked
+  // kernels there.
   // TSG_FORCE_ISA=avx2 pins the narrower table on a host where it wins.
   for (const FastIsa isa : {FastIsa::kAvx512, FastIsa::kAvx2, FastIsa::kSse2}) {
     if (fastIsaSupported(isa)) {

@@ -77,16 +77,15 @@ MachineSpec shaheen2() {
 
 std::vector<real> nodeSpeedFactors(const MachineSpec& machine, int nodes,
                                    unsigned seed) {
-  // A spread of zero (the probed single host) is a uniform machine;
-  // std::normal_distribution requires a positive standard deviation.
-  if (machine.nodeSpeedSigma <= 0) {
-    return std::vector<real>(nodes, real(1));
-  }
   std::mt19937 rng(seed);
-  std::normal_distribution<real> gauss(1.0, machine.nodeSpeedSigma);
-  std::vector<real> f(nodes);
-  for (int i = 0; i < nodes; ++i) {
-    f[i] = std::max(real(0.5), gauss(rng));
+  // A spread of zero (the probed single host) leaves every node at 1:
+  // std::normal_distribution requires a positive standard deviation.
+  std::vector<real> f(nodes, real(1));
+  if (machine.nodeSpeedSigma > 0) {
+    std::normal_distribution<real> gauss(1.0, machine.nodeSpeedSigma);
+    for (int i = 0; i < nodes; ++i) {
+      f[i] = std::max(real(0.5), gauss(rng));
+    }
   }
   // Deterministically scatter the slow outliers; tiny allocations (as in
   // the paper's 50-node baselines) rarely catch one.

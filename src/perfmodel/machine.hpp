@@ -65,7 +65,7 @@ MachineSpec mahti();
 MachineSpec shaheen2();
 
 /// Deterministic per-node speed factors (mean ~1) including outliers;
-/// all exactly 1 when nodeSpeedSigma <= 0.
+/// with nodeSpeedSigma <= 0 every node but the outliers is exactly 1.
 std::vector<real> nodeSpeedFactors(const MachineSpec& machine, int nodes,
                                    unsigned seed);
 

@@ -199,6 +199,7 @@ TEST(ExecModel, NodeWeightsMitigateSlowNodes) {
 TEST(ExecModel, ZeroNodeSpeedSigmaGivesUniformNodes) {
   MachineSpec machine = superMucNg();
   machine.nodeSpeedSigma = 0;
+  machine.slowNodeCount = 0;
   for (const int nodes : {1, 12, 50}) {
     const std::vector<real> f = nodeSpeedFactors(machine, nodes, 7);
     ASSERT_EQ(static_cast<int>(f.size()), nodes);
@@ -206,6 +207,17 @@ TEST(ExecModel, ZeroNodeSpeedSigmaGivesUniformNodes) {
       EXPECT_EQ(v, real(1));
     }
   }
+  // Declared outliers survive a zero spread; only the draw is skipped.
+  machine.slowNodeCount = 3;
+  machine.slowestNodeFraction = 0.9;
+  const std::vector<real> f = nodeSpeedFactors(machine, 50, 7);
+  int slow = 0;
+  for (const real v : f) {
+    EXPECT_TRUE(v == real(1) || v == machine.slowestNodeFraction) << v;
+    slow += v == machine.slowestNodeFraction;
+  }
+  EXPECT_GE(slow, 1);
+  EXPECT_LE(slow, 3);
 }
 
 TEST(Linking, RecorderInterpolatesInSpaceAndTime) {

@@ -1,11 +1,12 @@
 // Tail shapes of the tile-stage kernels on every ISA table the host can
 // execute.  The vector tables block the j (column) loop in vectors of 2,
-// 4 or 8 reals and the n = 9 per-lane products in fixed row blocks, so
-// every shape that leaves a remainder -- in rows, in vectors, in the
-// trailing column -- must still give the bits of detail::gemmAccImpl,
-// and no store may leave its columns:
+// 4 or 8 reals and 1-4 rows, so every shape that leaves a remainder -- in
+// rows, in vectors, in trailing columns -- must still give the bits of
+// detail::gemmAccImpl, and no store may leave its columns:
 //  * gemmAccStrided (the accumulate mode) over m x n x k tails with
 //    leading dimensions wider than the operands,
+//  * the overwrite mode over row counts and column remainders, through
+//    the predictor on synthetic operators,
 //  * the per-lane flux stages (accumulate, and the neighbour stage's
 //    overwrite of its scratch) over row counts and lane widths with null
 //    lanes in between,
@@ -31,9 +32,11 @@ namespace {
 
 constexpr int kQ = kNumQuantities;
 
-/// A quiet NaN with a payload no kernel produces.
+/// A finite value (about -5e33) far outside the operands' range.  A
+/// stray accumulate into it changes its bits; a quiet NaN would not, as
+/// NaN + x keeps the NaN's payload.
 real sentinel() {
-  const std::uint64_t bits = 0x7ff8'dead'beef'0001ull;
+  const std::uint64_t bits = 0xc6f0'dead'beef'0001ull;
   real v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
@@ -106,6 +109,45 @@ std::vector<const StageKernels*> executableTables() {
   return tables;
 }
 
+/// Runs kt.aderPredictor on a stack whose level 0 holds random DOFs and
+/// whose levels 1..degree and scratch tile start as `expScratch` (the
+/// sentinel outside written columns), and compares stack and scratch
+/// with the reference order on zero-filled destinations.  The derivative
+/// product (nb x 9*width x nb) and the first star product (nb x 9 x 9)
+/// overwrite; the other two star products accumulate.
+void checkPredictor(const StageKernels& kt, const ReferenceMatrices& rm,
+                    int width, int ld, const std::vector<real>& starTB,
+                    std::vector<real>& expScratch,
+                    std::vector<real>& actScratch, std::mt19937& rng) {
+  const int nb = rm.nb, degree = rm.degree, cols = kQ * width;
+  const std::size_t tileSize = static_cast<std::size_t>(nb) * ld;
+  std::vector<real> expStack((degree + 1) * tileSize, sentinel());
+  const std::vector<real> level0 = block(nb, cols, ld, rng, 0);
+  std::copy(level0.begin(), level0.end(), expStack.begin());
+  std::vector<real> actStack = expStack;
+  for (int k = 0; k < degree; ++k) {
+    const real* cur = expStack.data() + k * tileSize;
+    std::vector<real> next(expStack.begin() + (k + 1) * tileSize,
+                           expStack.begin() + (k + 2) * tileSize);
+    zeroColumns(next, nb, 0, cols, ld);
+    for (int c = 0; c < 3; ++c) {
+      zeroColumns(expScratch, nb, 0, cols, ld);
+      detail::gemmAccImpl(nb, cols, nb, rm.dXi[c].data(), nb, cur, ld,
+                          expScratch.data(), ld);
+      for (int lane = 0; lane < width; ++lane) {
+        detail::gemmAccImpl(nb, kQ, kQ, expScratch.data() + lane * kQ, ld,
+                            starTB.data() + (lane * 3 + c) * 81, kQ,
+                            next.data() + lane * kQ, ld);
+      }
+    }
+    std::copy(next.begin(), next.end(), expStack.begin() + (k + 1) * tileSize);
+  }
+  kt.aderPredictor(rm, starTB.data(), actStack.data(), actScratch.data(),
+                   width, ld);
+  expectSameBits(expStack, actStack, "predictor stack");
+  expectSameBits(expScratch, actScratch, "predictor scratch");
+}
+
 TEST(StageKernels, GemmAccStridedTailShapesMatchReferenceBitwise) {
   std::mt19937 rng(5);
   for (const StageKernels* kt : executableTables()) {
@@ -125,6 +167,39 @@ TEST(StageKernels, GemmAccStridedTailShapesMatchReferenceBitwise) {
                                           << n << " k " << k);
           expectSameBits(expected, actual, "C");
         }
+      }
+    }
+  }
+}
+
+// Overwrite mode (the `0 + sum` store that starts an accumulation chain)
+// on the same tails, through the predictor's derivative product on a
+// synthetic operator set: m = k = nb over {1, 2, 3, 5, 10, 11} rows and
+// n = 9 * width over widths 1-8 and 16, so every column remainder modulo
+// the vector widths 2, 4 and 8 occurs, and both the 9 x 9 star product
+// (overwrite) and its successors (accumulate) run at each row count.
+TEST(StageKernels, OverwriteModeTailShapesMatchReferenceBitwise) {
+  std::mt19937 rng(8);
+  for (const StageKernels* kt : executableTables()) {
+    for (const int nb : {1, 2, 3, 5, 10, 11}) {
+      ReferenceMatrices rm;
+      rm.degree = 1;
+      rm.nb = nb;
+      for (Matrix& d : rm.dXi) {
+        d = Matrix(nb, nb);
+        const std::vector<real> vals = operand(nb * nb, rng);
+        std::copy(vals.begin(), vals.end(), d.data());
+      }
+      for (const int width : {1, 2, 3, 4, 5, 6, 7, 8, 16}) {
+        SCOPED_TRACE(testing::Message() << kt->isa << " nb " << nb
+                                        << " width " << width);
+        const int ld = kQ * width + 3;
+        const std::vector<real> starTB = operand(width * 3 * 81, rng);
+        std::vector<real> expScratch(static_cast<std::size_t>(nb) * ld + 8,
+                                     sentinel());
+        std::vector<real> actScratch = expScratch;
+        checkPredictor(*kt, rm, width, ld, starTB, expScratch, actScratch,
+                       rng);
       }
     }
   }
@@ -210,35 +285,9 @@ TEST(StageKernels, PredictorAndVolumeMatchReferenceBitwise) {
         const std::size_t tileSize = static_cast<std::size_t>(nb) * ld;
         const std::vector<real> starTB = operand(width * 3 * 81, rng);
 
-        // Predictor: level 0 holds DOFs, levels 1..degree are outputs.
-        std::vector<real> expStack((degree + 1) * tileSize, sentinel());
-        const std::vector<real> level0 = block(nb, cols, ld, rng, 0);
-        std::copy(level0.begin(), level0.end(), expStack.begin());
-        std::vector<real> actStack = expStack;
         std::vector<real> expScratch(tileSize, sentinel());
         std::vector<real> actScratch = expScratch;
-        for (int k = 0; k < degree; ++k) {
-          const real* cur = expStack.data() + k * tileSize;
-          std::vector<real> next(expStack.begin() + (k + 1) * tileSize,
-                                 expStack.begin() + (k + 2) * tileSize);
-          zeroColumns(next, nb, 0, cols, ld);
-          for (int c = 0; c < 3; ++c) {
-            zeroColumns(expScratch, nb, 0, cols, ld);
-            detail::gemmAccImpl(nb, cols, nb, rm.dXi[c].data(), nb, cur, ld,
-                                expScratch.data(), ld);
-            for (int lane = 0; lane < width; ++lane) {
-              detail::gemmAccImpl(nb, kQ, kQ, expScratch.data() + lane * kQ,
-                                  ld, starTB.data() + (lane * 3 + c) * 81, kQ,
-                                  next.data() + lane * kQ, ld);
-            }
-          }
-          std::copy(next.begin(), next.end(),
-                    expStack.begin() + (k + 1) * tileSize);
-        }
-        kt->aderPredictor(rm, starTB.data(), actStack.data(),
-                          actScratch.data(), width, ld);
-        expectSameBits(expStack, actStack, "predictor stack");
-        expectSameBits(expScratch, actScratch, "predictor scratch");
+        checkPredictor(*kt, rm, width, ld, starTB, expScratch, actScratch, rng);
 
         // Volume: dofs += sum_c kXi[c] * (tInt * starT[c]).
         const std::vector<real> tInt = block(nb, cols, ld, rng);

@@ -1,8 +1,10 @@
 #include "io/vtk_writer.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "basis/dubiner.hpp"
 #include "io/atomic_file.hpp"
@@ -11,25 +13,49 @@ namespace tsg {
 
 namespace {
 
-void writeHeader(std::ostream& out, const std::string& title) {
-  out << "# vtk DataFile Version 3.0\n" << title << "\nASCII\n";
+// Text is appended to one std::string.  Numbers are formatted with
+// std::to_chars exactly as a default std::ostream formats them: doubles
+// like printf("%.6g") (general, precision 6), integers in decimal.
+void put(std::string& out, std::string_view text) { out += text; }
+
+void put(std::string& out, double v) {
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  out.append(buf, r.ptr);
 }
 
-void writeTetGrid(std::ostream& out, const Mesh& mesh) {
-  out << "DATASET UNSTRUCTURED_GRID\n";
-  out << "POINTS " << mesh.vertices.size() << " double\n";
+template <class Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+void put(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+template <class... Args>
+void append(std::string& out, const Args&... args) {
+  (put(out, args), ...);
+}
+
+void writeHeader(std::string& out, std::string_view title) {
+  append(out, "# vtk DataFile Version 3.0\n", title, "\nASCII\n");
+}
+
+void writeTetGrid(std::string& out, const Mesh& mesh) {
+  append(out, "DATASET UNSTRUCTURED_GRID\n");
+  append(out, "POINTS ", mesh.vertices.size(), " double\n");
   for (const auto& v : mesh.vertices) {
-    out << v[0] << " " << v[1] << " " << v[2] << "\n";
+    append(out, v[0], " ", v[1], " ", v[2], "\n");
   }
   const int n = mesh.numElements();
-  out << "CELLS " << n << " " << 5 * n << "\n";
+  append(out, "CELLS ", n, " ", 5 * n, "\n");
   for (const auto& e : mesh.elements) {
-    out << "4 " << e.vertices[0] << " " << e.vertices[1] << " "
-        << e.vertices[2] << " " << e.vertices[3] << "\n";
+    append(out, "4 ", e.vertices[0], " ", e.vertices[1], " ", e.vertices[2],
+           " ", e.vertices[3], "\n");
   }
-  out << "CELL_TYPES " << n << "\n";
+  append(out, "CELL_TYPES ", n, "\n");
   for (int i = 0; i < n; ++i) {
-    out << "10\n";  // VTK_TETRA
+    append(out, "10\n");  // VTK_TETRA
   }
 }
 
@@ -37,23 +63,23 @@ void writeTetGrid(std::ostream& out, const Mesh& mesh) {
 
 void writeVtkMesh(const std::string& path, const Mesh& mesh,
                   const std::map<std::string, std::vector<real>>& cellData) {
-  std::ostringstream out;
+  std::string out;
   writeHeader(out, "tsunamigen mesh");
   writeTetGrid(out, mesh);
   if (!cellData.empty()) {
-    out << "CELL_DATA " << mesh.numElements() << "\n";
+    append(out, "CELL_DATA ", mesh.numElements(), "\n");
     for (const auto& [name, values] : cellData) {
       if (static_cast<int>(values.size()) != mesh.numElements()) {
         throw std::invalid_argument("writeVtkMesh: field size mismatch: " +
                                     name);
       }
-      out << "SCALARS " << name << " double 1\nLOOKUP_TABLE default\n";
+      append(out, "SCALARS ", name, " double 1\nLOOKUP_TABLE default\n");
       for (real v : values) {
-        out << v << "\n";
+        append(out, v, "\n");
       }
     }
   }
-  atomicWriteFile(path, out.str());  // throws IoError naming the path
+  atomicWriteFile(path, out);  // throws IoError naming the path
 }
 
 void writeVtkWavefield(const std::string& path, const Simulation& sim) {
@@ -82,23 +108,23 @@ void writeVtkWavefield(const std::string& path, const Simulation& sim) {
 
 void writeVtkSurface(const std::string& path,
                      const std::vector<SurfaceSample>& samples) {
-  std::ostringstream out;
+  std::string out;
   writeHeader(out, "tsunamigen sea surface");
-  out << "DATASET POLYDATA\n";
-  out << "POINTS " << samples.size() << " double\n";
+  append(out, "DATASET POLYDATA\n");
+  append(out, "POINTS ", samples.size(), " double\n");
   for (const auto& s : samples) {
-    out << s.x << " " << s.y << " " << s.eta << "\n";
+    append(out, s.x, " ", s.y, " ", s.eta, "\n");
   }
-  out << "VERTICES " << samples.size() << " " << 2 * samples.size() << "\n";
+  append(out, "VERTICES ", samples.size(), " ", 2 * samples.size(), "\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    out << "1 " << i << "\n";
+    append(out, "1 ", i, "\n");
   }
-  out << "POINT_DATA " << samples.size() << "\n";
-  out << "SCALARS eta double 1\nLOOKUP_TABLE default\n";
+  append(out, "POINT_DATA ", samples.size(), "\n");
+  append(out, "SCALARS eta double 1\nLOOKUP_TABLE default\n");
   for (const auto& s : samples) {
-    out << s.eta << "\n";
+    append(out, s.eta, "\n");
   }
-  atomicWriteFile(path, out.str());  // throws IoError naming the path
+  atomicWriteFile(path, out);  // throws IoError naming the path
 }
 
 }  // namespace tsg

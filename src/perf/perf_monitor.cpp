@@ -236,6 +236,12 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
                 "\"tid\":%d,\"args\":{\"name\":\"run/io\"}}",
                 kRunTrackTid);
   out += buf;
+  // Spans timed before the monitor existed (the run's set-up) begin
+  // before the epoch; shift every event so no timestamp is negative.
+  double shiftUs = 0;
+  for (const NamedEvent& e : namedTrace_) {
+    shiftUs = std::max(shiftUs, -e.beginUs);
+  }
   for (const TraceEvent& e : trace_) {
     out += ',';
     // Rows stay keyed by cluster; the producing worker thread (persistent
@@ -244,8 +250,8 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
                   "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
                   "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
                   "\"args\":{\"thread\":%d}}",
-                  phaseName(static_cast<Phase>(e.phase)), e.beginUs, e.durUs,
-                  e.cluster, e.thread);
+                  phaseName(static_cast<Phase>(e.phase)), e.beginUs + shiftUs,
+                  e.durUs, e.cluster, e.thread);
     out += buf;
   }
   for (const NamedEvent& e : namedTrace_) {
@@ -255,12 +261,12 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
                     "{\"name\":\"%s\",\"cat\":\"run\",\"ph\":\"i\","
                     "\"s\":\"t\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,"
                     "\"args\":{\"count\":%" PRIu64 "}}",
-                    e.name, e.beginUs, kRunTrackTid, e.value);
+                    e.name, e.beginUs + shiftUs, kRunTrackTid, e.value);
     } else {
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"%s\",\"cat\":\"run\",\"ph\":\"X\","
                     "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}",
-                    e.name, e.beginUs, e.durUs, kRunTrackTid);
+                    e.name, e.beginUs + shiftUs, e.durUs, kRunTrackTid);
     }
     out += buf;
   }

@@ -1,5 +1,7 @@
 #include "physics/jacobians.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace tsg {
@@ -11,10 +13,13 @@ namespace {
 constexpr int kVoigtI[6] = {0, 1, 2, 0, 1, 0};
 constexpr int kVoigtJ[6] = {0, 1, 2, 1, 2, 2};
 
-/// 6x6 Bond stress rotation N with sigma_voigt = N sigma'_voigt for
-/// sigma = R sigma' R^T.
-Matrix bondMatrix(const real r[3][3]) {
-  Matrix n(6, 6);
+constexpr int kQ = kNumQuantities;
+
+/// 9x9 transform from a 3x3 rotation: the 6x6 Bond stress rotation N
+/// with sigma_voigt = N sigma'_voigt for sigma = R sigma' R^T, and R
+/// itself on the velocities.
+Mat9 rotationFrom3x3(const real r[3][3]) {
+  Mat9 t{};
   for (int m = 0; m < 6; ++m) {
     const int i = kVoigtI[m];
     const int j = kVoigtJ[m];
@@ -22,29 +27,29 @@ Matrix bondMatrix(const real r[3][3]) {
       const int k = kVoigtI[mp];
       const int l = kVoigtJ[mp];
       if (k == l) {
-        n(m, mp) = r[i][k] * r[j][k];
+        t[m * kQ + mp] = r[i][k] * r[j][k];
       } else {
-        n(m, mp) = r[i][k] * r[j][l] + r[i][l] * r[j][k];
+        t[m * kQ + mp] = r[i][k] * r[j][l] + r[i][l] * r[j][k];
       }
-    }
-  }
-  return n;
-}
-
-Matrix rotationFrom3x3(const real r[3][3]) {
-  Matrix t(kNumQuantities, kNumQuantities);
-  const Matrix bond = bondMatrix(r);
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) {
-      t(i, j) = bond(i, j);
     }
   }
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      t(6 + i, 6 + j) = r[i][j];
+      t[(6 + i) * kQ + 6 + j] = r[i][j];
     }
   }
   return t;
+}
+
+Mat9 rotation(const Vec3& n, const Vec3& s, const Vec3& t) {
+  // Columns of R are the face basis vectors: x_global = R x_face.
+  const real r[3][3] = {{n[0], s[0], t[0]}, {n[1], s[1], t[1]}, {n[2], s[2], t[2]}};
+  return rotationFrom3x3(r);
+}
+
+Mat9 rotationInverse(const Vec3& n, const Vec3& s, const Vec3& t) {
+  const real r[3][3] = {{n[0], n[1], n[2]}, {s[0], s[1], s[2]}, {t[0], t[1], t[2]}};
+  return rotationFrom3x3(r);
 }
 
 }  // namespace
@@ -90,20 +95,43 @@ Matrix jacobianMatrix(const Material& mat, int direction) {
   return a;
 }
 
+Mat9 toMat9(const Matrix& m) {
+  assert(m.rows() == kQ && m.cols() == kQ);
+  Mat9 out;
+  std::copy(m.data(), m.data() + out.size(), out.begin());
+  return out;
+}
+
+Matrix toMatrix(const Mat9& m) {
+  Matrix out(kQ, kQ);
+  std::copy(m.begin(), m.end(), out.data());
+  return out;
+}
+
+MaterialJacobians materialJacobians(const Material& mat) {
+  MaterialJacobians jac;
+  for (int d = 0; d < 3; ++d) {
+    jac.a[d] = toMat9(jacobianMatrix(mat, d));
+  }
+  return jac;
+}
+
 Matrix starMatrix(const Material& mat, const Vec3& gradXi) {
-  Matrix star(kNumQuantities, kNumQuantities);
+  Mat9 star;
+  starMatrix(materialJacobians(mat), gradXi, star);
+  return toMatrix(star);
+}
+
+void starMatrix(const MaterialJacobians& jac, const Vec3& gradXi, Mat9& out) {
+  out.fill(0);
   for (int d = 0; d < 3; ++d) {
     if (gradXi[d] == 0) {
       continue;
     }
-    const Matrix ad = jacobianMatrix(mat, d);
-    for (int i = 0; i < kNumQuantities; ++i) {
-      for (int j = 0; j < kNumQuantities; ++j) {
-        star(i, j) += gradXi[d] * ad(i, j);
-      }
+    for (int i = 0; i < kQ * kQ; ++i) {
+      out[i] += gradXi[d] * jac.a[d][i];
     }
   }
-  return star;
 }
 
 void faceBasis(const Vec3& n, Vec3& s, Vec3& t) {
@@ -121,14 +149,34 @@ void faceBasis(const Vec3& n, Vec3& s, Vec3& t) {
 }
 
 Matrix rotationMatrix(const Vec3& n, const Vec3& s, const Vec3& t) {
-  // Columns of R are the face basis vectors: x_global = R x_face.
-  const real r[3][3] = {{n[0], s[0], t[0]}, {n[1], s[1], t[1]}, {n[2], s[2], t[2]}};
-  return rotationFrom3x3(r);
+  return toMatrix(rotation(n, s, t));
 }
 
 Matrix rotationMatrixInverse(const Vec3& n, const Vec3& s, const Vec3& t) {
-  const real r[3][3] = {{n[0], n[1], n[2]}, {s[0], s[1], s[2]}, {t[0], t[1], t[2]}};
-  return rotationFrom3x3(r);
+  return toMatrix(rotationInverse(n, s, t));
+}
+
+FaceRotation faceRotation(const Vec3& n) {
+  Vec3 s, t;
+  faceBasis(n, s, t);
+  return {rotation(n, s, t), rotationInverse(n, s, t)};
+}
+
+void mul9(const Mat9& l, const Mat9& r, Mat9& out) {
+  out.fill(0);
+  for (int i = 0; i < kQ; ++i) {
+    real* o = out.data() + i * kQ;
+    for (int p = 0; p < kQ; ++p) {
+      const real lv = l[i * kQ + p];
+      if (lv == 0) {
+        continue;
+      }
+      const real* rp = r.data() + p * kQ;
+      for (int j = 0; j < kQ; ++j) {
+        o[j] += lv * rp[j];
+      }
+    }
+  }
 }
 
 }  // namespace tsg

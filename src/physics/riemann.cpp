@@ -136,20 +136,32 @@ void godunovStateOperators(const Material& matMinus, const Material& matPlus,
   }
 }
 
-FluxMatrices interfaceFluxMatrices(const Material& matMinus,
-                                   const Material& matPlus, const Vec3& n) {
-  Vec3 s, t;
-  faceBasis(n, s, t);
-  const Matrix rot = rotationMatrix(n, s, t);
-  const Matrix rotInv = rotationMatrixInverse(n, s, t);
-
+InterfaceFluxOperands interfaceFluxOperands(const Material& matMinus,
+                                            const Material& matPlus) {
   Matrix gMinus, gPlus;
   godunovStateOperators(matMinus, matPlus, gMinus, gPlus);
-  const Matrix aFace = jacobianMatrix(matMinus, 0);
+  const Mat9 aFace = toMat9(jacobianMatrix(matMinus, 0));
+  return {{aFace, toMat9(gMinus)}, {aFace, toMat9(gPlus)}};
+}
 
+void rotateFluxOperand(const FluxOperand& op, const FaceRotation& rot,
+                       Mat9& out) {
+  Mat9 gr, agr;
+  mul9(op.g, rot.rotInv, gr);
+  mul9(op.a, gr, agr);
+  mul9(rot.rot, agr, out);
+}
+
+FluxMatrices interfaceFluxMatrices(const Material& matMinus,
+                                   const Material& matPlus, const Vec3& n) {
+  const InterfaceFluxOperands ops = interfaceFluxOperands(matMinus, matPlus);
+  const FaceRotation rot = faceRotation(n);
+  Mat9 f;
   FluxMatrices out;
-  out.fMinus = rot * (aFace * (gMinus * rotInv));
-  out.fPlus = rot * (aFace * (gPlus * rotInv));
+  rotateFluxOperand(ops.minus, rot, f);
+  out.fMinus = toMatrix(f);
+  rotateFluxOperand(ops.plus, rot, f);
+  out.fPlus = toMatrix(f);
   return out;
 }
 
@@ -169,34 +181,31 @@ Matrix rigidWallMirror() {
   return mirror;
 }
 
-Matrix boundaryFluxMatrix(const Material& mat, BoundaryType bc, const Vec3& n) {
-  Vec3 s, t;
-  faceBasis(n, s, t);
-  const Matrix rot = rotationMatrix(n, s, t);
-  const Matrix rotInv = rotationMatrixInverse(n, s, t);
-
+FluxOperand boundaryFluxOperand(const Material& mat, BoundaryType bc) {
   Matrix gMinus, gPlus;
   godunovStateOperators(mat, mat, gMinus, gPlus);
-  const Matrix aFace = jacobianMatrix(mat, 0);
+  const Mat9 aFace = toMat9(jacobianMatrix(mat, 0));
 
   switch (bc) {
-    case BoundaryType::kFreeSurface: {
+    case BoundaryType::kFreeSurface:
       // Ghost state mirrors the traction; the Riemann middle state then has
       // exactly zero traction on the boundary.
-      const Matrix eff = gMinus + gPlus * freeSurfaceMirror();
-      return rot * (aFace * (eff * rotInv));
-    }
-    case BoundaryType::kRigidWall: {
-      const Matrix eff = gMinus + gPlus * rigidWallMirror();
-      return rot * (aFace * (eff * rotInv));
-    }
+      return {aFace, toMat9(gMinus + gPlus * freeSurfaceMirror())};
+    case BoundaryType::kRigidWall:
+      return {aFace, toMat9(gMinus + gPlus * rigidWallMirror())};
     case BoundaryType::kAbsorbing:
       // Ghost state q^+ = 0: only the outgoing characteristics contribute.
-      return rot * (aFace * (gMinus * rotInv));
+      return {aFace, toMat9(gMinus)};
     default:
       throw std::invalid_argument(
           "boundaryFluxMatrix: unsupported boundary type");
   }
+}
+
+Matrix boundaryFluxMatrix(const Material& mat, BoundaryType bc, const Vec3& n) {
+  Mat9 f;
+  rotateFluxOperand(boundaryFluxOperand(mat, bc), faceRotation(n), f);
+  return toMatrix(f);
 }
 
 }  // namespace tsg

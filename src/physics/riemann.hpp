@@ -10,9 +10,18 @@
 // with F^∓ precomputed per face.  Interface conditions: continuity of
 // traction and of all (elastic-elastic) or only the normal (fluid-solid)
 // velocity components; tangential tractions vanish on fluid-solid faces.
+//
+// Each F is built in two halves.  The face-frame operands (the Jacobian
+// A_x and the state operator G, or its ghost-folded form on a boundary)
+// depend only on the two materials and, on a boundary, its type; the
+// normal enters only through the rotation F = T(n) (A (G T(n)^{-1})).
+// The asset build computes the first half once per material pair and
+// the second per face; the Matrix entry points below compose the same
+// two halves, so there is one flux formula.
 
 #include "common/matrix.hpp"
 #include "geometry/mesh.hpp"
+#include "physics/jacobians.hpp"
 #include "physics/material.hpp"
 
 namespace tsg {
@@ -25,6 +34,33 @@ struct FluxMatrices {
 /// Face-frame middle-state operators: q^{b-} = gMinus q^-_face + gPlus q^+_face.
 void godunovStateOperators(const Material& matMinus, const Material& matPlus,
                            Matrix& gMinus, Matrix& gPlus);
+
+/// Normal-independent half of one face flux matrix
+/// F = T(n) (a (g T(n)^{-1})).
+struct FluxOperand {
+  Mat9 a;  // A_x of the minus-side material (face frame)
+  Mat9 g;  // face-frame state operator
+};
+
+/// Interior face: F^- uses G^-, F^+ uses G^+, both with the minus-side A_x.
+struct InterfaceFluxOperands {
+  FluxOperand minus;
+  FluxOperand plus;
+};
+
+/// Per-material-pair half of interfaceFluxMatrices.
+InterfaceFluxOperands interfaceFluxOperands(const Material& matMinus,
+                                            const Material& matPlus);
+
+/// Per-(material, boundary type) half of boundaryFluxMatrix: the state
+/// operator with the ghost state folded in.  Throws for a boundary type
+/// that has no flux matrix.
+FluxOperand boundaryFluxOperand(const Material& mat, BoundaryType bc);
+
+/// Per-face half: out = T(n) (op.a (op.g T(n)^{-1})), bitwise equal to the
+/// same products in Matrix arithmetic.
+void rotateFluxOperand(const FluxOperand& op, const FaceRotation& rot,
+                       Mat9& out);
 
 /// Global-frame flux matrices for an interior face with unit normal n
 /// pointing from the minus to the plus side.

@@ -239,17 +239,26 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
     // ensemble workers do not clobber each other.)
     omp_set_num_threads(o.threads);
   }
+  // Set-up is timed before the perf monitor exists; the three phases are
+  // recorded as spans once it is enabled.
+  const double tResolve = PerfMonitor::clockSeconds();
   ScenarioBundle bundle = resolveScenario(o, cfg);
   const std::string scenarioName = bundle.name;
   applySolverOptions(bundle.solver, o);
 
-  std::shared_ptr<const SimulationAssets> sharedAssets;
+  const double tAssets = PerfMonitor::clockSeconds();
+  std::shared_ptr<const SimulationAssets> assets;
   if (hooks.assetProvider) {
-    sharedAssets = hooks.assetProvider(bundle);
+    assets = hooks.assetProvider(bundle);
   }
-  std::unique_ptr<Simulation> sim =
-      sharedAssets ? makeSimulation(bundle, std::move(sharedAssets))
-                   : makeSimulation(bundle);
+  if (!assets) {
+    assets = std::make_shared<const SimulationAssets>(
+        bundle.mesh, bundle.materials,
+        AssetConfig::fromSolverConfig(bundle.solver));
+  }
+  const double tConstruct = PerfMonitor::clockSeconds();
+  std::unique_ptr<Simulation> sim = makeSimulation(bundle, std::move(assets));
+  const double tReady = PerfMonitor::clockSeconds();
   const std::uint64_t scenarioHash = hashFileBytes(configPath);
   // The scenario hash (raw config-file bytes) is strictly enforced only
   // for the ensemble's auto-resume, where the member config that wrote
@@ -266,7 +275,10 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
 
   if (!o.perfReportPath.empty() || !o.tracePath.empty() ||
       !o.modelCheckPath.empty()) {
-    sim->enablePerfMonitor(!o.tracePath.empty());
+    PerfMonitor& perf = sim->enablePerfMonitor(!o.tracePath.empty());
+    perf.recordSpan("scenario_resolve", tResolve, tAssets);
+    perf.recordSpan("asset_build", tAssets, tConstruct);
+    perf.recordSpan("simulation_construct", tConstruct, tReady);
   }
   // The drift report normalises per macro cycle; count them directly so
   // a resumed run only counts the cycles this monitor actually measured.

@@ -1,9 +1,13 @@
 #include "solver/simulation_assets.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
+#include "common/omp_sync.hpp"
 #include "geometry/reference_tet.hpp"
 #include "kernels/element_kernels.hpp"
 #include "physics/jacobians.hpp"
@@ -91,59 +95,33 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
       2 * static_cast<std::size_t>(cfg.degree + 1) * rm.nq * kNumQuantities +
       2 * static_cast<std::size_t>(rm.nq) * kNumQuantities;
 
-  // ---- per-element static data (star matrices, LTS neighbour flags) ----
-  starT.assign(
-      static_cast<std::size_t>(n) * 3 * kNumQuantities * kNumQuantities, 0.0);
-  hasCoarserNeighbor.assign(n, 0);
-  for (int e = 0; e < n; ++e) {
-    const auto g = gradXi(mesh, e);
-    for (int c = 0; c < 3; ++c) {
-      const Matrix star = starMatrix(elemMaterial[e], g[c]);
-      real* dst = starT.data() + (static_cast<std::size_t>(e) * 3 + c) *
-                                     kNumQuantities * kNumQuantities;
-      for (int i = 0; i < kNumQuantities; ++i) {
-        for (int j = 0; j < kNumQuantities; ++j) {
-          dst[i * kNumQuantities + j] = star(j, i);  // transposed
-        }
-      }
+  // ---- discovery pass (serial, canonical (e, f) order): face kinds, aux
+  // pre-assignment, and the flux operands of every material pair and
+  // (material, boundary type) key, built on first use -------------------
+  const std::size_t nf = static_cast<std::size_t>(n) * 4;
+  faceKind.assign(nf, FaceKind::kRegular);
+  faceAux.assign(nf, -1);
+  seafloorIndexOfFace.assign(nf, -1);
+  std::map<std::pair<int, int>, InterfaceFluxOperands> interfaceOperands;
+  std::map<std::pair<int, BoundaryType>, FluxOperand> boundaryOperands;
+  // Per face: the operands its fluxMinusT / fluxPlusT rotate (null: zero).
+  std::vector<const FluxOperand*> minusOperand(nf, nullptr);
+  std::vector<const FluxOperand*> plusOperand(nf, nullptr);
+  // The entry of `key` in `cache`, built by `make` on first use.
+  auto cached = [](auto& cache, const auto& key, auto make) -> const auto& {
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+      it = cache.emplace(key, make()).first;
     }
-    for (int f = 0; f < 4; ++f) {
-      const int nb = mesh.faces[e][f].neighbor;
-      if (nb >= 0 && clusters.cluster[nb] > clusters.cluster[e]) {
-        hasCoarserNeighbor[e] = 1;
-      }
-    }
-  }
-
-  // ---- per-face static data (flux matrices, face metadata, aux
-  // pre-assignment in canonical (e, f) order) ---------------------------
-  const int stride = kNumQuantities * kNumQuantities;
-  faceKind.assign(static_cast<std::size_t>(n) * 4, FaceKind::kRegular);
-  fluxMinusT.assign(static_cast<std::size_t>(n) * 4 * stride, 0.0);
-  fluxPlusT.assign(static_cast<std::size_t>(n) * 4 * stride, 0.0);
-  faceAux.assign(static_cast<std::size_t>(n) * 4, -1);
-  faceScale.assign(static_cast<std::size_t>(n) * 4, 0.0);
-  seafloorIndexOfFace.assign(static_cast<std::size_t>(n) * 4, -1);
-
-  const bool gravityOn = cfg.gravity > 0;
-
-  auto storeT = [stride](const Matrix& m, real scale, real* dst) {
-    for (int i = 0; i < kNumQuantities; ++i) {
-      for (int j = 0; j < kNumQuantities; ++j) {
-        dst[i * kNumQuantities + j] = scale * m(j, i);
-      }
-    }
-    (void)stride;
+    return it->second;
   };
 
+  const bool gravityOn = cfg.gravity > 0;
   for (int e = 0; e < n; ++e) {
-    const real volJ = 6.0 * mesh.volume(e);
+    const int mat = mesh.elements[e].material;
     for (int f = 0; f < 4; ++f) {
       const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
       const FaceInfo& info = mesh.faces[e][f];
-      const Vec3 normal = mesh.faceNormal(e, f);
-      const real scale = 2.0 * mesh.faceArea(e, f) / volJ;
-      faceScale[idx] = scale;
 
       if (info.neighbor >= 0) {
         if (info.bc == BoundaryType::kDynamicRupture) {
@@ -160,11 +138,15 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           }
           continue;
         }
-        const auto fm = interfaceFluxMatrices(
-            elemMaterial[e], elemMaterial[info.neighbor], normal);
+        const int matPlus = mesh.elements[info.neighbor].material;
+        const InterfaceFluxOperands& ops =
+            cached(interfaceOperands, std::pair{mat, matPlus}, [&] {
+              return interfaceFluxOperands(materialTable[mat],
+                                           materialTable[matPlus]);
+            });
         faceKind[idx] = FaceKind::kRegular;
-        storeT(fm.fMinus, scale, fluxMinusT.data() + idx * stride);
-        storeT(fm.fPlus, scale, fluxPlusT.data() + idx * stride);
+        minusOperand[idx] = &ops.minus;
+        plusOperand[idx] = &ops.plus;
         continue;
       }
 
@@ -183,10 +165,88 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
               ? BoundaryType::kFreeSurface
               : info.bc;
       faceKind[idx] = FaceKind::kBoundaryFolded;
-      const Matrix eff = boundaryFluxMatrix(elemMaterial[e], folded, normal);
-      storeT(eff, scale, fluxMinusT.data() + idx * stride);
+      minusOperand[idx] = &cached(boundaryOperands, std::pair{mat, folded}, [&] {
+        return boundaryFluxOperand(materialTable[mat], folded);
+      });
     }
   }
+
+  // ---- fill pass (the calling thread's OpenMP team; every entry depends
+  // only on its own element, so the bits do not depend on the team size):
+  // star matrices, rotated and scaled flux matrices, face scales, LTS
+  // neighbour flags ------------------------------------------------------
+  constexpr int kQ = kNumQuantities;
+  constexpr int stride = kQ * kQ;
+  std::vector<MaterialJacobians> jacobiansOfMaterial;
+  jacobiansOfMaterial.reserve(materialTable.size());
+  for (const Material& m : materialTable) {
+    jacobiansOfMaterial.push_back(materialJacobians(m));
+  }
+  starT.resize(static_cast<std::size_t>(n) * 3 * stride);
+  fluxMinusT.resize(nf * stride);
+  fluxPlusT.resize(nf * stride);
+  faceScale.assign(nf, 0.0);
+  hasCoarserNeighbor.assign(n, 0);
+
+  // dst = scale * (T(n) (op.a (op.g T(n)^{-1})))^T, or zeros without op.
+  auto storeFluxT = [](const FluxOperand* op, const FaceRotation& rot,
+                       real scale, real* dst) {
+    if (!op) {
+      std::fill(dst, dst + stride, 0.0);
+      return;
+    }
+    Mat9 flux;
+    rotateFluxOperand(*op, rot, flux);
+    for (int i = 0; i < kQ; ++i) {
+      for (int j = 0; j < kQ; ++j) {
+        dst[i * kQ + j] = scale * flux[j * kQ + i];
+      }
+    }
+  };
+
+  tsanRelease();
+#pragma omp parallel
+  {
+    tsanAcquire();
+#pragma omp for schedule(static)
+    for (int e = 0; e < n; ++e) {
+      const auto g = gradXi(mesh, e);
+      const MaterialJacobians& jac =
+          jacobiansOfMaterial[mesh.elements[e].material];
+      for (int c = 0; c < 3; ++c) {
+        Mat9 star;
+        starMatrix(jac, g[c], star);
+        real* dst =
+            starT.data() + (static_cast<std::size_t>(e) * 3 + c) * stride;
+        for (int i = 0; i < kQ; ++i) {
+          for (int j = 0; j < kQ; ++j) {
+            dst[i * kQ + j] = star[j * kQ + i];  // transposed
+          }
+        }
+      }
+
+      const real volJ = 6.0 * mesh.volume(e);
+      for (int f = 0; f < 4; ++f) {
+        const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
+        const int nb = mesh.faces[e][f].neighbor;
+        if (nb >= 0 && clusters.cluster[nb] > clusters.cluster[e]) {
+          hasCoarserNeighbor[e] = 1;
+        }
+        const real scale = 2.0 * mesh.faceArea(e, f) / volJ;
+        faceScale[idx] = scale;
+        FaceRotation rot{};
+        if (minusOperand[idx]) {
+          rot = faceRotation(mesh.faceNormal(e, f));
+        }
+        storeFluxT(minusOperand[idx], rot, scale,
+                   fluxMinusT.data() + idx * stride);
+        storeFluxT(plusOperand[idx], rot, scale,
+                   fluxPlusT.data() + idx * stride);
+      }
+    }
+    tsanRelease();
+  }
+  tsanAcquire();
 
   // Seafloor recorder geometry: elastic side of every elastic-acoustic
   // face, in the same (e, f) discovery order as the uplift accumulators.

@@ -28,6 +28,19 @@
 // construction over the recorded face lists in that same order.  Replayed
 // indices therefore coincide with the precomputed faceAux values, and a
 // run built from shared assets is bitwise identical to a standalone one.
+//
+// Build cost: the static operands are split by what they depend on.  The
+// Godunov flux operands (physics/riemann.hpp) depend only on the material
+// pair, or the material and boundary type, and the Jacobians only on the
+// material: each is built once per key.  Per face only the rotation
+// T(n) (A (G T(n)^{-1})) remains, on fixed-size 9x9 operands.  The build
+// runs in two passes: a serial discovery pass in canonical (e, f) order
+// (face kinds, aux indices, the per-pair operands) and a fill pass over
+// the calling thread's OpenMP team (star and flux operands, face scales),
+// whose results do not depend on the thread count.  The fill pass is also
+// the first touch of the ~7 KiB per element of operand arrays.  On the
+// megathrust preset (7020 elements, 2 materials, degree 2) this took the
+// build from ~0.25 s to a few hundredths of a second; see ROADMAP.md.
 
 #include <cstdint>
 #include <map>
@@ -44,6 +57,26 @@
 #include "solver/time_clusters.hpp"
 
 namespace tsg {
+
+/// std::allocator whose value-less construct() default-initialises, so a
+/// resize() leaves the new reals unwritten and the asset build's threaded
+/// fill pass is their first touch.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  // Constructions with arguments fall back to std::construct_at.
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Storage of the per-element / per-face static operands.
+using OperandVector = std::vector<real, DefaultInitAllocator<real>>;
 
 enum class FaceKind : std::uint8_t {
   kRegular,
@@ -151,13 +184,13 @@ class SimulationAssets {
   std::size_t scratchSize = 0;  // per-element kernel scratch [reals]
 
   // Static per-element data.
-  std::vector<real> starT;  // [elem][3][81], transposed star matrices
+  OperandVector starT;  // [elem][3][81], transposed star matrices
   std::vector<std::uint8_t> hasCoarserNeighbor;
 
   // Static per-face data, indexed [elem*4 + f].
   std::vector<FaceKind> faceKind;
-  std::vector<real> fluxMinusT;  // [81] each, pre-scaled
-  std::vector<real> fluxPlusT;   // [81] each, pre-scaled
+  OperandVector fluxMinusT;  // [81] each, pre-scaled
+  OperandVector fluxPlusT;   // [81] each, pre-scaled
   std::vector<int> faceAux;      // gravity/rupture index (pre-assigned)
   std::vector<real> faceScale;   // 2 A_f / |J|
   std::vector<int> seafloorIndexOfFace;  // seafloorGeometry index or -1

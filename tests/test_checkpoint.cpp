@@ -14,8 +14,10 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +82,37 @@ TEST(Checkpoint, Crc32KnownVector) {
   const char data[] = "123456789";
   EXPECT_EQ(crc32(data, 9), 0xCBF43926u);
   EXPECT_EQ(crc32(data, 0), 0u);
+}
+
+/// Bytewise CRC-32 (reflected 0xEDB88320), the reference the sliced
+/// implementation must reproduce.
+std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseOracle) {
+  std::mt19937 rng(20181928);
+  std::vector<unsigned char> buf(1u << 20);
+  for (auto& b : buf) {
+    b = static_cast<unsigned char>(rng());
+  }
+  // Every tail length around the 8-byte step at every alignment.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len < 68; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32Bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(crc32(buf.data(), buf.size()),
+            crc32Bytewise(buf.data(), buf.size()));
 }
 
 TEST(Checkpoint, BinaryRoundTrip) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/errors.hpp"
 #include "common/kernel_path.hpp"
 #include "geometry/mesh_builder.hpp"
+#include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
 #include "kernels/reference_matrices.hpp"
 #include "linking/kajiura.hpp"
@@ -152,6 +154,111 @@ TEST(Vtk, SurfaceFile) {
   EXPECT_NE(body.find("POINTS 3 double"), std::string::npos);
   EXPECT_NE(body.find("SCALARS eta double 1"), std::string::npos);
   std::remove(path.c_str());
+}
+
+/// The legacy-VTK text the writers produced through std::ostringstream
+/// (default stream formatting), kept as the byte-exact oracle of the
+/// std::to_chars writers.
+std::string ostreamVtkMesh(const Mesh& mesh,
+                           const std::map<std::string, std::vector<real>>& data) {
+  std::ostringstream out;
+  out << "# vtk DataFile Version 3.0\n" << "tsunamigen mesh" << "\nASCII\n";
+  out << "DATASET UNSTRUCTURED_GRID\n";
+  out << "POINTS " << mesh.vertices.size() << " double\n";
+  for (const auto& v : mesh.vertices) {
+    out << v[0] << " " << v[1] << " " << v[2] << "\n";
+  }
+  const int n = mesh.numElements();
+  out << "CELLS " << n << " " << 5 * n << "\n";
+  for (const auto& e : mesh.elements) {
+    out << "4 " << e.vertices[0] << " " << e.vertices[1] << " "
+        << e.vertices[2] << " " << e.vertices[3] << "\n";
+  }
+  out << "CELL_TYPES " << n << "\n";
+  for (int i = 0; i < n; ++i) {
+    out << "10\n";
+  }
+  out << "CELL_DATA " << n << "\n";
+  for (const auto& [name, values] : data) {
+    out << "SCALARS " << name << " double 1\nLOOKUP_TABLE default\n";
+    for (real v : values) {
+      out << v << "\n";
+    }
+  }
+  return out.str();
+}
+
+std::string ostreamVtkSurface(const std::vector<SurfaceSample>& samples) {
+  std::ostringstream out;
+  out << "# vtk DataFile Version 3.0\n" << "tsunamigen sea surface"
+      << "\nASCII\n";
+  out << "DATASET POLYDATA\n";
+  out << "POINTS " << samples.size() << " double\n";
+  for (const auto& s : samples) {
+    out << s.x << " " << s.y << " " << s.eta << "\n";
+  }
+  out << "VERTICES " << samples.size() << " " << 2 * samples.size() << "\n";
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    out << "1 " << i << "\n";
+  }
+  out << "POINT_DATA " << samples.size() << "\n";
+  out << "SCALARS eta double 1\nLOOKUP_TABLE default\n";
+  for (const auto& s : samples) {
+    out << s.eta << "\n";
+  }
+  return out.str();
+}
+
+/// Values whose %g text has every shape: signed zeros, subnormals, the
+/// exponent extremes, integers around the 6-digit switch to exponent
+/// form, rounding carries, and the non-finite values a failure dump
+/// (HealthMonitor) writes.
+std::vector<real> formattingEdgeCases() {
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  return {0.0, -0.0, std::numeric_limits<real>::denorm_min(),
+          -4.9406564584124654e-320, 2.2250738585072014e-308,
+          std::numeric_limits<real>::max(), 1e300, -1e300, 1e-300, -1e-300,
+          1.0, -7.0, 42.0, 99999.0, 999999.0, 1000000.0, 9999995.0,
+          123456789.0, 0.1, 1.0 / 3.0, -2.0 / 3.0, 1e-4, 1e-5, 0.99999949,
+          0.9999995, 5e-324 * 3, 6.02214076e23, -1.5e-7, inf, -inf, nan,
+          -nan};
+}
+
+TEST(Vtk, NumberFormattingMatchesOstreamOracle) {
+  const std::vector<real> edge = formattingEdgeCases();
+  BoxMeshSpec spec;
+  spec.xLines = uniformLine(0, 1, 2);
+  spec.yLines = uniformLine(0, 1, 2);
+  spec.zLines = uniformLine(0, 1, 2);
+  Mesh mesh = buildBoxMesh(spec);
+  std::size_t k = 0;
+  for (auto& v : mesh.vertices) {
+    for (real& c : v) {
+      c = edge[k++ % edge.size()];
+    }
+  }
+  std::map<std::string, std::vector<real>> data;
+  for (const char* name : {"a", "b", "c"}) {
+    auto& values = data[name];
+    for (int e = 0; e < mesh.numElements(); ++e) {
+      values.push_back(edge[k++ % edge.size()]);
+    }
+  }
+  const std::string meshPath = "tsg_test_vtk_format_mesh.vtk";
+  writeVtkMesh(meshPath, mesh, data);
+  EXPECT_EQ(readFileBytes(meshPath), ostreamVtkMesh(mesh, data));
+  std::remove(meshPath.c_str());
+
+  std::vector<SurfaceSample> samples;
+  for (std::size_t i = 0; i < edge.size(); ++i) {
+    samples.push_back({edge[i], edge[(i + 7) % edge.size()],
+                       edge[(i + 13) % edge.size()]});
+  }
+  const std::string surfacePath = "tsg_test_vtk_format_surface.vtk";
+  writeVtkSurface(surfacePath, samples);
+  EXPECT_EQ(readFileBytes(surfacePath), ostreamVtkSurface(samples));
+  std::remove(surfacePath.c_str());
 }
 
 // Quadrature oracle for computeEnergy: the energy densities evaluated

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "geometry/mesh_builder.hpp"
+#include "common/config.hpp"
 #include "perf/perf_monitor.hpp"
+#include "runner/run_pipeline.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/logging.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -276,6 +279,59 @@ TEST(Telemetry, TraceContainsCheckpointAndIoSpans) {
   EXPECT_NE(report.find("\"checkpoint_save\""), std::string::npos);
   std::remove(ckpt.c_str());
   std::remove(trace.c_str());
+}
+
+TEST(Telemetry, TraceShiftsSpansThatBeginBeforeTheEpoch) {
+  // runPipeline times its set-up before the monitor exists and records
+  // it afterwards; the trace must still have no negative timestamp.
+  const std::string trace = "telemetry_early_span_trace.json";
+  PerfMonitor perf;
+  perf.enableTrace();
+  const double epoch = perf.traceEpoch();
+  perf.recordSpan("early", epoch - 0.5, epoch - 0.25);
+  perf.recordSpan("late", epoch + 0.25, epoch + 0.5);
+  perf.writeChromeTrace(trace);
+  const std::string json = fileBytes(trace);
+  std::remove(trace.c_str());
+  EXPECT_NE(json.find("\"name\":\"early\",\"cat\":\"run\",\"ph\":\"X\","
+                      "\"ts\":0.000,\"dur\":250000.000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"late\",\"cat\":\"run\",\"ph\":\"X\","
+                      "\"ts\":750000.000,\"dur\":250000.000"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"ts\":-"), std::string::npos) << json;
+}
+
+TEST(Telemetry, PerfReportCarriesSetupSpans) {
+  const std::string cfgPath = "telemetry_setup_spans.cfg";
+  const std::string report = "telemetry_setup_spans_perf.json";
+  {
+    std::ofstream out(cfgPath);
+    out << "preset = " << TSG_PRESET_DIR << "/quickstart.cfg\n"
+        << "degree = 1\nend_time = 0.02\nsnapshots = 1\n"
+        << "vtk_output = false\nhealth_check = false\n"
+        << "output_prefix = telemetry_setup_spans\n";
+  }
+  const ConfigFile cfg = ConfigFile::load(cfgPath);
+  RunOptions o = readRunOptions(cfg);
+  o.perfReportPath = report;
+  const RunResult r = runPipeline(cfgPath, cfg, o);
+  const std::string json = fileBytes(report);
+  for (const char* name :
+       {"scenario_resolve", "asset_build", "simulation_construct"}) {
+    const std::regex span(std::string("\"") + name +
+                          "\": \\{\"seconds\": ([^,]+), \"invocations\": 1\\}");
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(json, m, span)) << name << "\n" << json;
+    EXPECT_GT(std::stod(m[1].str()), 0.0) << name;
+  }
+  for (const auto& rec : r.receivers) {
+    std::remove(("telemetry_setup_spans_receiver_" + rec.name + ".csv").c_str());
+  }
+  std::remove(report.c_str());
+  std::remove(cfgPath.c_str());
 }
 
 TEST(Telemetry, RestoredRunContinuesMetricsStream) {

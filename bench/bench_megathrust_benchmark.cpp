@@ -195,12 +195,6 @@ int main() {
                   "threads -> %.2fx\n",
                   oneThread, nThread, benchThreads, oneThread / nThread);
     }
-    // Legacy top-level keys (schema consumers predating the backends
-    // array); speedup_vs_reference reports the fastest pipeline.
-    meta.extra["speedup_vs_reference"] = seconds[0] / seconds[2];
-    meta.extra["reference_seconds"] = seconds[0];
-    meta.extra["batched_seconds"] = seconds[1];
-    meta.extra["fast_seconds"] = seconds[2];
     writePerfReport("BENCH_kernels.json", *fastSim->perfMonitor(), meta);
     const PerfMonitor& pm = *fastSim->perfMonitor();
     // busy (summed across threads) vs wall (wave-bracketed on thread 0):

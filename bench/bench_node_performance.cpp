@@ -160,8 +160,8 @@ struct StageTile {
   int width = autoBatchSize(rm.nb, rm.degree);
   int ld = kNumQuantities * width;
   std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
-  std::vector<real> stack, tInt, dofs, scratch, faceScratch, starTB,
-      negStarTB, flux, laneScratch;
+  std::vector<real> stack, tInt, dofs, scratch, faceScratch, starTB, flux,
+      laneScratch;
   std::vector<const real*> fluxPtrs;
   std::vector<NeighborFluxLane> lanes;
 
@@ -180,10 +180,6 @@ struct StageTile {
     fill(scratch, tileSize, 1);
     fill(faceScratch, tileSize, 1);
     fill(starTB, static_cast<std::size_t>(width) * 3 * 81, 1e-1);
-    negStarTB = starTB;
-    for (real& x : negStarTB) {
-      x = -x;
-    }
     fill(flux, static_cast<std::size_t>(width) * 81, 1e-1);
     fill(laneScratch, static_cast<std::size_t>(rm.nb) * kNumQuantities, 1);
     const Matrix& fluxNeighbor = rm.fluxNeighbor[0][1][0];
@@ -249,7 +245,7 @@ void printStageKernels() {
                        t.ld, t.dofs.data(), t.ld);
     }});
     probes.push_back({k.isa, "predictor", nb, cols, nb, [&t, &k] {
-      k.aderPredictor(t.rm, t.negStarTB.data(), t.stack.data(),
+      k.aderPredictor(t.rm, t.starTB.data(), t.stack.data(),
                       t.scratch.data(), t.width, t.ld);
     }});
     probes.push_back({k.isa, "volume", nb, cols, nb, [&t, &k] {

@@ -2,13 +2,10 @@
 
 // ConstSpan: a minimal non-owning read-only view over contiguous storage.
 //
-// The solver's static per-element / per-face arrays (star matrices, flux
-// matrices, face metadata) moved from per-Simulation vectors into the
-// shared immutable SimulationAssets (solver/simulation_assets.hpp).
-// SolverState keeps the same field *names* but as ConstSpan views, so the
-// kernel backends and the scheduler read identical expressions
-// (`s_.starT.data()`, `s_.faceKind[idx]`, range-for) against storage that
-// is now owned once and shared by every ensemble member.
+// SolverState uses it for the per-cluster fault-face lists, which live in
+// the shared immutable SimulationAssets (solver/simulation_assets.hpp):
+// the scheduler reads them through the same field names on every run,
+// against storage owned once and shared by every ensemble member.
 
 #include <cstddef>
 

@@ -6,15 +6,14 @@
 
 namespace tsg {
 
-void BatchedBackend::prepare() {
-  if (ba_) {
-    return;
-  }
-  // Fetched lazily at the first advance; the relayout itself is a pure
-  // function of the static asset data, built once per batch size inside
-  // SimulationAssets and shared across all runs on the same assets.
-  ba_ = s_.assets->batchedAssets(s_.cfg->batchSize);
-}
+BatchedBackend::BatchedBackend(SolverState& state, const char* name)
+    : KernelBackend(state),
+      k_(&fastStageKernels(resolveFastIsa())),
+      name_(name),
+      layout_(*state.clusters, state.rm->nb, state.cfg->degree,
+              state.cfg->batchSize),
+      tileScratchSize_(static_cast<std::size_t>(state.cfg->degree + 3) *
+                       state.rm->nb * kNumQuantities * layout_.batchSize()) {}
 
 void BatchedBackend::runPredictorTile(int cluster, std::size_t tile,
                                       bool resetBuffer) {
@@ -29,21 +28,20 @@ void BatchedBackend::runCorrectorTile(int cluster, std::size_t tile,
 void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
   const ReferenceMatrices& rm = *s_.rm;
   const ClusterLayout& clusters = *s_.clusters;
-  const BatchedAssets& ba = *ba_;
+  const SimulationAssets& a = *s_.assets;
   const int width = batch.width;
-  const int ld = kNumQuantities * ba.layout.batchSize();
-  const int* elems = ba.layout.elements().data() + batch.begin;
+  const int ld = kNumQuantities * layout_.batchSize();
+  const int* elems = a.kernelOrder.data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
-  real* stackTiles = backendThreadScratch(1, ba.batchScratchSize);
+  real* stackTiles = backendThreadScratch(1, tileScratchSize_);
   real* scratchTile = stackTiles + (s_.cfg->degree + 1) * tileSize;
   real* tIntTile = scratchTile + tileSize;
-  const real* negStarTB =
-      ba.negStarTB.data() +
-      static_cast<std::size_t>(batch.begin) * 3 * kNumQuantities *
-          kNumQuantities;
+  const real* starTB =
+      a.starT.data() + static_cast<std::size_t>(batch.begin) * 3 *
+                           kNumQuantities * kNumQuantities;
 
   gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, stackTiles);
-  k_->aderPredictor(rm, negStarTB, stackTiles, scratchTile, width, ld);
+  k_->aderPredictor(rm, starTB, stackTiles, scratchTile, width, ld);
   const real dt =
       clusters.dtMin * static_cast<real>(clusters.spanOf(batch.cluster));
   k_->taylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
@@ -54,7 +52,7 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
   // stack lives and dies in the tiles.
   for (int lane = 0; lane < width; ++lane) {
     const int e = elems[lane];
-    if (!ba.stackNeeded[e]) {
+    if (!a.stackNeeded[e]) {
       continue;
     }
     for (int k = 0; k <= s_.cfg->degree; ++k) {
@@ -72,7 +70,7 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
 
   for (int lane = 0; lane < width; ++lane) {
     const int e = elems[lane];
-    if (s_.hasCoarserNeighbor[e]) {
+    if (a.hasCoarserNeighbor[e]) {
       s_.accumulateLtsBuffer(e, reset);
     }
   }
@@ -82,27 +80,34 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
                                     std::int64_t tick) {
   const ReferenceMatrices& rm = *s_.rm;
   const ClusterLayout& clusters = *s_.clusters;
-  const BatchedAssets& ba = *ba_;
+  const SimulationAssets& a = *s_.assets;
   const int c = batch.cluster;
   const std::int64_t span = clusters.spanOf(c);
   const real dt = clusters.dtMin * static_cast<real>(span);
   const int width = batch.width;
-  const int ld = kNumQuantities * ba.layout.batchSize();
-  const int* elems = ba.layout.elements().data() + batch.begin;
+  const int ld = kNumQuantities * layout_.batchSize();
+  const int* elems = a.kernelOrder.data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
   const int stride = kNumQuantities * kNumQuantities;
+  // This batch's face records and flux matrices: [lane*4 + f].
+  const FaceRecord* faces =
+      a.faces.data() + static_cast<std::size_t>(batch.begin) * 4;
+  const real* fluxMinusT =
+      a.fluxMinusT.data() + static_cast<std::size_t>(batch.begin) * 4 * stride;
+  const real* fluxPlusT =
+      a.fluxPlusT.data() + static_cast<std::size_t>(batch.begin) * 4 * stride;
 
-  real* dofTile = backendThreadScratch(1, ba.batchScratchSize);
+  real* dofTile = backendThreadScratch(1, tileScratchSize_);
   real* tIntTile = dofTile + tileSize;
   real* faceScratch = tIntTile + tileSize;
   // Fourth scratch tile (degree >= 1 guarantees it): per-lane contiguous
   // nb x 9 slots holding coarser-neighbour sub-interval integrals so the
   // neighbour-flux stage can run as one fused pass over the batch.
   real* coarseInt = faceScratch + tileSize;
-  static thread_local std::vector<const real*> negFluxPtrs;
+  static thread_local std::vector<const real*> fluxPtrs;
   static thread_local std::vector<NeighborFluxLane> nbrLanes;
-  negFluxPtrs.resize(ba.layout.batchSize());
-  nbrLanes.resize(ba.layout.batchSize());
+  fluxPtrs.resize(layout_.batchSize());
+  nbrLanes.resize(layout_.batchSize());
   // Per-element scratch (neighbour integrals, gravity/rupture traces) --
   // same regions as the reference corrector.
   real* scratch = backendThreadScratch(0, s_.scratchSize);
@@ -115,7 +120,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   gatherTile(s_.tInt.data(), elems, width, rm.nb, s_.nbq, ld, tIntTile);
 
   const real* starTB =
-      ba.starTB.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
+      a.starT.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
   k_->volumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
 
   for (int f = 0; f < 4; ++f) {
@@ -128,22 +133,18 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
                   sizeof(real) * kNumQuantities * width);
     }
     for (int lane = 0; lane < width; ++lane) {
-      const BatchFaceInfo& info =
-          ba.batchFaces[(static_cast<std::size_t>(batch.begin) + lane) * 4 + f];
+      const FaceRecord& info = faces[lane * 4 + f];
       real* laneDofs =
           dofTile + static_cast<std::size_t>(lane) * kNumQuantities;
-      negFluxPtrs[lane] = nullptr;
+      fluxPtrs[lane] = nullptr;
       switch (info.kind) {
         case FaceKind::kRegular:
-        case FaceKind::kBoundaryFolded: {
-          // Pre-negated flux-solver matrix: the reference's negate-the-
-          // product pass is folded into the operand (bitwise-identical).
-          negFluxPtrs[lane] =
-              ba.negFluxMinusTB.data() +
-              ((static_cast<std::size_t>(batch.begin) + lane) * 4 + f) *
-                  stride;
+        case FaceKind::kBoundaryFolded:
+          // The stage subtracts the flux-solver product: the bits of the
+          // reference's negate-the-product pass.
+          fluxPtrs[lane] =
+              fluxMinusT + (static_cast<std::size_t>(lane) * 4 + f) * stride;
           break;
-        }
         case FaceKind::kGravity:
           s_.gravity->computeFlux(info.aux, rm, s_.stackOf(elems[lane]), dt,
                                   fluxQp, scratchBig);
@@ -178,18 +179,14 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
         s_.recordSeafloorUplift(info.seafloor, elems[lane], f);
       }
     }
-    k_->localFluxStage(rm.nb, width, ld, tIntTile, negFluxPtrs.data(),
+    k_->localFluxStage(rm.nb, width, ld, tIntTile, fluxPtrs.data(),
                        faceScratch);
 
     // (b) One blocked GEMM per run of consecutive regular/boundary lanes:
     // dofs -= fluxLocal[f] * staged flux products.
     int lane = 0;
     while (lane < width) {
-      const auto kindOf = [&](int l) {
-        return ba.batchFaces[(static_cast<std::size_t>(batch.begin) + l) * 4 +
-                             f]
-            .kind;
-      };
+      const auto kindOf = [&](int l) { return faces[l * 4 + f].kind; };
       if (kindOf(lane) != FaceKind::kRegular &&
           kindOf(lane) != FaceKind::kBoundaryFolded) {
         ++lane;
@@ -213,9 +210,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
     // lane's contiguous coarseInt slot), then run the whole batch through
     // one fused per-lane GEMM pass.
     for (int lane2 = 0; lane2 < width; ++lane2) {
-      const BatchFaceInfo& info =
-          ba.batchFaces[(static_cast<std::size_t>(batch.begin) + lane2) * 4 +
-                        f];
+      const FaceRecord& info = faces[lane2 * 4 + f];
       NeighborFluxLane& ln = nbrLanes[lane2];
       if (info.kind != FaceKind::kRegular) {
         ln.src = nullptr;
@@ -236,9 +231,8 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
         ln.src = s_.buffer.data() +
                  static_cast<std::size_t>(info.neighbor) * s_.nbq;
       }
-      ln.negFluxPlusT =
-          ba.negFluxPlusTB.data() +
-          ((static_cast<std::size_t>(batch.begin) + lane2) * 4 + f) * stride;
+      ln.fluxPlusT =
+          fluxPlusT + (static_cast<std::size_t>(lane2) * 4 + f) * stride;
       ln.fluxNeighbor =
           rm.fluxNeighbor[f][info.neighborFace][info.permutation].data();
     }

@@ -9,14 +9,12 @@
 // (pinned by the BatchedKernels tests); the fast backend is this
 // pipeline plus FTZ|DAZ (fast_backend.hpp).
 //
-// The cluster-contiguous operand tensors (layout, batch-ordered faces,
-// negated star/flux matrices) are pure functions of the static asset
-// data, so they live in SimulationAssets::batchedAssets(batchSize) --
-// built once per batch size and const-shared; this backend only holds a
-// reference.
+// The static operands are stored in kernel order (SimulationAssets), so
+// every batch reads its star matrices, flux matrices and face records as
+// one contiguous run of the shared asset arrays.  This backend holds only
+// its batch list, built at construction.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "kernels/backends/isa_dispatch.hpp"
@@ -35,53 +33,40 @@ class BatchedBackend : public KernelBackend {
   const char* name() const override { return name_; }
   const char* isa() const override { return k_->isa; }
 
-  void prepare() override;
-  void invalidateLayout() override { ba_.reset(); }
-
   std::size_t numTiles(int cluster) const override {
-    return static_cast<std::size_t>(ba_->layout.endBatchOfCluster(cluster) -
-                                    ba_->layout.firstBatchOfCluster(cluster));
+    return static_cast<std::size_t>(layout_.endBatchOfCluster(cluster) -
+                                    layout_.firstBatchOfCluster(cluster));
   }
   void appendTileElements(int cluster, std::size_t tile,
                           std::vector<int>& out) const override {
     const ElementBatch& b = batchOf(cluster, tile);
-    for (int i = 0; i < b.width; ++i) {
-      out.push_back(ba_->layout.elements()[b.begin + i]);
-    }
+    const int* elems = s_.assets->kernelOrder.data() + b.begin;
+    out.insert(out.end(), elems, elems + b.width);
   }
   void runPredictorTile(int cluster, std::size_t tile,
                         bool resetBuffer) override;
   void runCorrectorTile(int cluster, std::size_t tile,
                         std::int64_t tick) override;
 
-  const ClusterBatchLayout* batchLayout() const override {
-    return ba_ ? &ba_->layout : nullptr;
-  }
-  int reportBatchSize() const override {
-    return ba_ ? ba_->layout.batchSize()
-               : (s_.cfg->batchSize > 0
-                      ? s_.cfg->batchSize
-                      : autoBatchSize(s_.rm->nb, s_.cfg->degree));
-  }
+  const ClusterBatchLayout* batchLayout() const override { return &layout_; }
+  int reportBatchSize() const override { return layout_.batchSize(); }
 
  protected:
-  BatchedBackend(SolverState& state, const char* name)
-      : KernelBackend(state),
-        k_(&fastStageKernels(resolveFastIsa())),
-        name_(name) {}
+  BatchedBackend(SolverState& state, const char* name);
 
  private:
   void predictorBatch(const ElementBatch& batch, bool reset);
   void correctorBatch(const ElementBatch& batch, std::int64_t tick);
   const ElementBatch& batchOf(int cluster, std::size_t tile) const {
-    return ba_->layout.batches()[ba_->layout.firstBatchOfCluster(cluster) +
-                                 static_cast<int>(tile)];
+    return layout_.batches()[layout_.firstBatchOfCluster(cluster) +
+                             static_cast<int>(tile)];
   }
 
   const StageKernels* k_;
   const char* name_;
-  // Shared batched operand tensors (null until prepare()).
-  std::shared_ptr<const BatchedAssets> ba_;
+  ClusterBatchLayout layout_;
+  // Tile scratch per thread: (degree+3) tiles of nb*9*batchSize reals.
+  std::size_t tileScratchSize_;
 };
 
 }  // namespace tsg

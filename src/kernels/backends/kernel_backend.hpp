@@ -35,13 +35,6 @@ class KernelBackend {
   /// reference; "scalar"/"sse2"/"avx2"/"avx512" for batched and fast).
   virtual const char* isa() const = 0;
 
-  /// (Re)build layout-dependent data.  Called at the start of every
-  /// advance; must be idempotent and cheap when already prepared.
-  virtual void prepare() {}
-  /// Invalidate layout-dependent data (e.g. after setupFault assigns
-  /// rupture face indices).
-  virtual void invalidateLayout() {}
-
   /// Number of independent work items for one stage pass over cluster c.
   /// The scheduler's ThreadPlan slices [0, numTiles) into per-thread
   /// contiguous ranges.

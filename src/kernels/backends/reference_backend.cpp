@@ -8,7 +8,7 @@ void ReferenceBackend::runPredictorTile(int cluster, std::size_t tile,
                                         bool resetBuffer) {
   const int e = s_.clusters->elementsOfCluster[cluster][tile];
   predictor(e);
-  if (s_.hasCoarserNeighbor[e]) {
+  if (s_.assets->hasCoarserNeighbor[e]) {
     s_.accumulateLtsBuffer(e, resetBuffer);
   }
 }
@@ -22,9 +22,10 @@ void ReferenceBackend::predictor(int elem) {
   const int c = s_.clusters->cluster[elem];
   const real dt = s_.clusters->dtMin * static_cast<real>(s_.clusters->spanOf(c));
   real* scratch = backendThreadScratch(0, s_.scratchSize);
+  const SimulationAssets& a = *s_.assets;
+  const std::size_t pos = static_cast<std::size_t>(a.positionOf[elem]);
   aderPredictor(*s_.rm,
-                s_.starT.data() + static_cast<std::size_t>(elem) * 3 *
-                    kNumQuantities * kNumQuantities,
+                a.starT.data() + pos * 3 * kNumQuantities * kNumQuantities,
                 s_.dofsOf(elem), s_.stackOf(elem), scratch);
   taylorIntegrate(*s_.rm, s_.stackOf(elem), 0.0, dt, s_.tIntOf(elem));
 }
@@ -42,21 +43,20 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
                  2 * static_cast<std::size_t>(s_.cfg->degree + 1) * rm.nq *
                      kNumQuantities;
 
+  const SimulationAssets& a = *s_.assets;
+  const std::size_t pos = static_cast<std::size_t>(a.positionOf[elem]);
   real* q = s_.dofsOf(elem);
-  volumeKernel(rm,
-               s_.starT.data() + static_cast<std::size_t>(elem) * 3 *
-                   kNumQuantities * kNumQuantities,
+  volumeKernel(rm, a.starT.data() + pos * 3 * kNumQuantities * kNumQuantities,
                s_.tIntOf(elem), q, scratch);
 
   const int stride = kNumQuantities * kNumQuantities;
   for (int f = 0; f < 4; ++f) {
-    const std::size_t idx = static_cast<std::size_t>(elem) * 4 + f;
-    const FaceInfo& info = s_.mesh->faces[elem][f];
-    switch (s_.faceKind[idx]) {
+    const std::size_t idx = pos * 4 + f;
+    const FaceRecord& info = a.faces[idx];
+    switch (info.kind) {
       case FaceKind::kRegular: {
-        surfaceKernel(rm, rm.fluxLocal[f],
-                      s_.fluxMinusT.data() + idx * stride, s_.tIntOf(elem), q,
-                      scratch);
+        surfaceKernel(rm, rm.fluxLocal[f], a.fluxMinusT.data() + idx * stride,
+                      s_.tIntOf(elem), q, scratch);
         const int nb = info.neighbor;
         const int nbCluster = clusters.cluster[nb];
         const real* src = nullptr;
@@ -75,45 +75,41 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
         }
         surfaceKernel(rm,
                       rm.fluxNeighbor[f][info.neighborFace][info.permutation],
-                      s_.fluxPlusT.data() + idx * stride, src, q, scratch);
+                      a.fluxPlusT.data() + idx * stride, src, q, scratch);
         break;
       }
       case FaceKind::kBoundaryFolded:
-        surfaceKernel(rm, rm.fluxLocal[f],
-                      s_.fluxMinusT.data() + idx * stride, s_.tIntOf(elem), q,
-                      scratch);
+        surfaceKernel(rm, rm.fluxLocal[f], a.fluxMinusT.data() + idx * stride,
+                      s_.tIntOf(elem), q, scratch);
         break;
       case FaceKind::kGravity:
-        s_.gravity->computeFlux(s_.faceAux[idx], rm, s_.stackOf(elem), dt,
-                                fluxQp, scratchBig);
-        surfaceKernelPointwise(rm, rm.faceEvalTW[f], s_.faceScale[idx], fluxQp,
-                               q);
+        s_.gravity->computeFlux(info.aux, rm, s_.stackOf(elem), dt, fluxQp,
+                                scratchBig);
+        surfaceKernelPointwise(rm, rm.faceEvalTW[f], info.scale, fluxQp, q);
         break;
       case FaceKind::kRuptureMinus: {
         const real* staged = s_.ruptureFlux.data() +
-                             static_cast<std::size_t>(s_.faceAux[idx]) * 2 *
-                                 rm.nq * kNumQuantities;
-        surfaceKernelPointwise(rm, rm.faceEvalTW[f], s_.faceScale[idx], staged,
-                               q);
+                             static_cast<std::size_t>(info.aux) * 2 * rm.nq *
+                                 kNumQuantities;
+        surfaceKernelPointwise(rm, rm.faceEvalTW[f], info.scale, staged, q);
         break;
       }
       case FaceKind::kRupturePlus: {
-        const FaultFace& ff = s_.fault->faceAt(s_.faceAux[idx]);
+        const FaultFace& ff = s_.fault->faceAt(info.aux);
         const real* staged =
             s_.ruptureFlux.data() +
-            (static_cast<std::size_t>(s_.faceAux[idx]) * 2 + 1) * rm.nq *
+            (static_cast<std::size_t>(info.aux) * 2 + 1) * rm.nq *
                 kNumQuantities;
         surfaceKernelPointwise(
             rm,
             rm.faceEvalNeighborTW[ff.minusFace][ff.plusFace][ff.permutation],
-            s_.faceScale[idx], staged, q);
+            info.scale, staged, q);
         break;
       }
     }
 
-    const int sf = s_.seafloorIndexOfFace[idx];
-    if (sf >= 0) {
-      s_.recordSeafloorUplift(sf, elem, f);
+    if (info.seafloor >= 0) {
+      s_.recordSeafloorUplift(info.seafloor, elem, f);
     }
   }
 

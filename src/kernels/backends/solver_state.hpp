@@ -3,13 +3,12 @@
 // Shared mutable solver state operated on by the kernel backends
 // (src/kernels/backends/) and orchestrated by the cluster scheduler
 // (src/solver/cluster_scheduler.*).  Simulation owns one SolverState per
-// run; the static per-element/per-face data lives in the immutable,
-// shareable SimulationAssets (solver/simulation_assets.hpp) and is
-// exposed here through read-only ConstSpan views under the same field
-// names, so the backends read the exact same expressions whether a run
-// owns its assets or shares them with an ensemble.  All three pipelines
-// (reference, batched, fast) read and write the same arrays and
-// checkpoints stay interchangeable between them.
+// run; the static per-element/per-face operands live in the immutable,
+// shareable SimulationAssets (solver/simulation_assets.hpp), which the
+// backends read through `assets` whether a run owns its assets or shares
+// them with an ensemble.  All three pipelines (reference, batched, fast)
+// read and write the same arrays and checkpoints stay interchangeable
+// between them.
 
 #include <cstdint>
 #include <vector>
@@ -48,18 +47,6 @@ struct SolverState {
 
   // Per-element evolving state.
   std::vector<real> dofs, stack, tInt, buffer;
-
-  // Static per-element data (views into SimulationAssets).
-  ConstSpan<real> starT;  // [elem][3][81], transposed star matrices
-  ConstSpan<std::uint8_t> hasCoarserNeighbor;
-
-  // Static per-face data, indexed [elem*4 + f] (views into assets).
-  ConstSpan<FaceKind> faceKind;
-  ConstSpan<real> fluxMinusT;  // [81] each, pre-scaled
-  ConstSpan<real> fluxPlusT;   // [81] each, pre-scaled
-  ConstSpan<int> faceAux;      // gravity/rupture index per face
-  ConstSpan<real> faceScale;   // 2 A_f / |J|
-  ConstSpan<int> seafloorIndexOfFace;  // seafloorFaces index or -1
 
   // Boundary subsystems (owned by Simulation; null when absent).
   GravityBoundary* gravity = nullptr;

@@ -16,19 +16,24 @@
 // to the reference path (the BatchedKernels tests).
 //
 // Batch-ordered side arrays ("B" suffix): starTB holds, lane-major, the
-// 3 transposed star matrices of each lane (lane*3*81 + c*81).
+// 3 transposed star matrices of each lane (lane*3*81 + c*81), as the
+// kernel-ordered asset arrays do.  Where the reference path negates a
+// product before accumulating it (the predictor's star products, the flux
+// solver products), the stage subtracts the product instead: for finite
+// values x - a*b equals x + a*(-b) bit for bit, so the operands are the
+// asset matrices themselves.
 
 #include "common/types.hpp"
 #include "kernels/reference_matrices.hpp"
 
 namespace tsg {
 
-/// One lane of the neighbour-flux stage: scratch = src * negFluxPlusT,
+/// One lane of the neighbour-flux stage: scratch = 0 - src * fluxPlusT,
 /// then dofTile[lane] += fluxNeighbor * scratch.  A null `src` skips the
 /// lane.
 struct NeighborFluxLane {
   const real* src = nullptr;           // nb x 9 time-integral operand
-  const real* negFluxPlusT = nullptr;  // 9 x 9, pre-negated
+  const real* fluxPlusT = nullptr;     // 9 x 9
   const real* fluxNeighbor = nullptr;  // nb x nb
 };
 
@@ -37,10 +42,9 @@ struct StageKernels {
 
   /// ADER predictor: stackTiles holds degree+1 consecutive tiles of nb*ld
   /// reals each; level 0 must contain the gathered DOFs.  Fills levels
-  /// 1..degree.  `scratchTile` is one tile of nb*ld reals.  `negStarTB`
-  /// holds the NEGATED transposed star matrices (the reference path's
-  /// negate-then-multiply, with the sign folded into the operand).
-  void (*aderPredictor)(const ReferenceMatrices& rm, const real* negStarTB,
+  /// 1..degree.  `scratchTile` is one tile of nb*ld reals.  Each level
+  /// subtracts the star products: next -= (dXi[c] * cur) * starTB[c].
+  void (*aderPredictor)(const ReferenceMatrices& rm, const real* starTB,
                         real* stackTiles, real* scratchTile, int width,
                         int ld);
   /// outTile = int_a^b Taylor(stackTiles) dt.
@@ -51,11 +55,11 @@ struct StageKernels {
   void (*volumeKernel)(const ReferenceMatrices& rm, const real* starTB,
                        const real* tIntTile, real* dofTile, real* scratchTile,
                        int width, int ld);
-  /// faceScratch[lane] += tIntTile[lane] * negFluxT[lane] for every lane
+  /// faceScratch[lane] -= tIntTile[lane] * fluxT[lane] for every lane
   /// with a non-null matrix pointer (null lanes -- gravity, rupture,
   /// unfolded boundaries -- are skipped).
   void (*localFluxStage)(int nb, int width, int ld, const real* tIntTile,
-                         const real* const* negFluxT, real* faceScratch);
+                         const real* const* fluxT, real* faceScratch);
   /// Every lane of `lanes` (see NeighborFluxLane); `scratch` holds nb x 9.
   void (*neighborFluxStage)(int nb, int width, int ld,
                             const NeighborFluxLane* lanes, real* scratch,

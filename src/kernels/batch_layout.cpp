@@ -24,20 +24,22 @@ int autoBatchSize(int nb, int degree) {
 
 ClusterBatchLayout::ClusterBatchLayout(const ClusterLayout& clusters, int nb,
                                        int degree, int requestedBatch) {
-  batchSize_ = requestedBatch > 0 ? requestedBatch : autoBatchSize(nb, degree);
+  std::size_t largest = 1;
+  for (const auto& elems : clusters.elementsOfCluster) {
+    largest = std::max(largest, elems.size());
+  }
+  batchSize_ = static_cast<int>(std::min<std::size_t>(
+      requestedBatch > 0 ? requestedBatch : autoBatchSize(nb, degree),
+      largest));
   clusterBatchBegin_.assign(clusters.numClusters + 1, 0);
+  int position = 0;
   for (int c = 0; c < clusters.numClusters; ++c) {
     clusterBatchBegin_[c] = static_cast<int>(batches_.size());
-    const auto& elems = clusters.elementsOfCluster[c];
-    for (std::size_t k = 0; k < elems.size(); k += batchSize_) {
-      ElementBatch b;
-      b.cluster = c;
-      b.begin = static_cast<int>(elements_.size() + k);
-      b.width = static_cast<int>(
-          std::min<std::size_t>(batchSize_, elems.size() - k));
-      batches_.push_back(b);
+    const int size = static_cast<int>(clusters.elementsOfCluster[c].size());
+    for (int k = 0; k < size; k += batchSize_) {
+      batches_.push_back({c, position + k, std::min(batchSize_, size - k)});
     }
-    elements_.insert(elements_.end(), elems.begin(), elems.end());
+    position += size;
   }
   clusterBatchBegin_[clusters.numClusters] = static_cast<int>(batches_.size());
 }

@@ -31,40 +31,35 @@ namespace tsg {
 
 struct ElementBatch {
   int cluster = 0;
-  int begin = 0;  // index into ClusterBatchLayout::elements()
+  int begin = 0;  // first position in kernel order (SimulationAssets)
   int width = 0;  // number of elements in this batch (<= batchSize)
 };
 
-/// Pick a batch size such that the working set of one batched predictor
-/// (degree+3 tiles of nb x 9*B reals) stays within a conservative L2
-/// budget.  Returns a multiple of 4 in [4, 64].
+/// Pick a batch size such that the hot pair of tiles of a batched GEMM
+/// (2 tiles of nb x 9*B reals) stays within a conservative L1 budget.
+/// Returns a multiple of 4 in [4, 64].
 int autoBatchSize(int nb, int degree);
 
+/// The batch list of one batch size.  Kernel order, the concatenation of
+/// the clusters' element lists, does not depend on the batch size; each
+/// batch is a run [begin, begin + width) of it within one cluster.
 class ClusterBatchLayout {
  public:
   ClusterBatchLayout() = default;
-  /// Partition every cluster's element list (in its given order) into
-  /// batches.  `requestedBatch` <= 0 selects autoBatchSize().
+  /// Partition every cluster's positions into batches.  `requestedBatch`
+  /// <= 0 selects autoBatchSize(); either is capped at the largest
+  /// cluster's element count, as no batch can be wider.
   ClusterBatchLayout(const ClusterLayout& clusters, int nb, int degree,
                      int requestedBatch);
 
   int batchSize() const { return batchSize_; }
-  /// Cluster-contiguous element ids (concatenated cluster element lists).
-  const std::vector<int>& elements() const { return elements_; }
   const std::vector<ElementBatch>& batches() const { return batches_; }
   /// Half-open range [first, last) into batches() for cluster c.
   int firstBatchOfCluster(int c) const { return clusterBatchBegin_[c]; }
   int endBatchOfCluster(int c) const { return clusterBatchBegin_[c + 1]; }
-  /// Position of element `elements()[i]` within the cluster-contiguous
-  /// ordering (identity by construction; exposed for clarity in callers
-  /// that index batch-ordered side arrays).
-  int orderedIndex(int batchIdx, int lane) const {
-    return batches_[batchIdx].begin + lane;
-  }
 
  private:
   int batchSize_ = 0;
-  std::vector<int> elements_;
   std::vector<ElementBatch> batches_;
   std::vector<int> clusterBatchBegin_;
 };

@@ -48,14 +48,6 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   state_.scratchSize = a.scratchSize;
 
   // Static data: read-only views into the shared assets.
-  state_.starT = ConstSpan<real>(a.starT);
-  state_.hasCoarserNeighbor = ConstSpan<std::uint8_t>(a.hasCoarserNeighbor);
-  state_.faceKind = ConstSpan<FaceKind>(a.faceKind);
-  state_.fluxMinusT = ConstSpan<real>(a.fluxMinusT);
-  state_.fluxPlusT = ConstSpan<real>(a.fluxPlusT);
-  state_.faceAux = ConstSpan<int>(a.faceAux);
-  state_.faceScale = ConstSpan<real>(a.faceScale);
-  state_.seafloorIndexOfFace = ConstSpan<int>(a.seafloorIndexOfFace);
   state_.faultFacesOfCluster = ConstSpan<std::int64_t>(a.faultFacesOfCluster);
   state_.faultFaceIdsOfCluster =
       ConstSpan<std::vector<int>>(a.faultFaceIdsOfCluster);
@@ -68,7 +60,7 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   state_.buffer.assign(static_cast<std::size_t>(n) * nbq, 0.0);
 
   // Gravity boundary: replay the asset face list in recorded order, so
-  // the per-run face indices coincide with the precomputed faceAux.
+  // the per-run face indices coincide with the precomputed aux indices.
   if (cfg_.gravity > 0) {
     gravity_ = std::make_unique<GravityBoundary>(cfg_.degree, cfg_.gravity);
     state_.gravity = gravity_.get();
@@ -140,7 +132,7 @@ void Simulation::setupFault(const FaultInitFn& init) {
   state_.fault = fault_.get();
   // Replay the asset rupture-face list in recorded (ascending element,
   // face) order: addFace returns sequential indices, so face i here is
-  // exactly the precomputed faceAux value on both sides.
+  // exactly the precomputed aux index on both sides.
   for (std::size_t i = 0; i < a.ruptureFaces.size(); ++i) {
     const RuptureFaceRef& rf = a.ruptureFaces[i];
     const int fi =
@@ -193,7 +185,6 @@ void Simulation::advanceTo(real tEnd) {
         "advanceTo: mesh has dynamic-rupture faces but setupFault() was "
         "not called");
   }
-  backend_->prepare();
   const ClusterLayout& clusters = assets_->clusters;
   const real eps = 1e-12 * std::max(real(1), tEnd);
   while (time_ < tEnd - eps) {

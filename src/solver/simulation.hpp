@@ -146,8 +146,8 @@ class Simulation {
   /// Raw modal coefficients ([element][nb][9]); read-only, used by the
   /// energy diagnostics, the wavefield VTK and the kernel tests.
   const std::vector<real>& dofsData() const { return state_.dofs; }
-  /// Cluster-contiguous batch layout of tile-based backends (built on
-  /// first advance; empty for the reference backend).
+  /// Batch list of tile-based backends (empty for the reference
+  /// backend).
   const ClusterBatchLayout& batchLayout() const;
 
   // ---- checkpoint / restart -------------------------------------------

@@ -95,16 +95,29 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
       2 * static_cast<std::size_t>(cfg.degree + 1) * rm.nq * kNumQuantities +
       2 * static_cast<std::size_t>(rm.nq) * kNumQuantities;
 
-  // ---- discovery pass (serial, canonical (e, f) order): face kinds, aux
-  // pre-assignment, and the flux operands of every material pair and
-  // (material, boundary type) key, built on first use -------------------
+  // Kernel order: the concatenation of the clusters' element lists.
+  kernelOrder.reserve(n);
+  for (const std::vector<int>& elems : clusters.elementsOfCluster) {
+    kernelOrder.insert(kernelOrder.end(), elems.begin(), elems.end());
+  }
+  positionOf.assign(n, -1);
+  for (int i = 0; i < n; ++i) {
+    positionOf[kernelOrder[i]] = i;
+  }
+  // Slot of face f of mesh element e in the [pos*4 + f] arrays.
+  auto slotOf = [&](int e, int f) {
+    return static_cast<std::size_t>(positionOf[e]) * 4 + f;
+  };
+
+  // ---- discovery pass (serial, canonical (e, f) order): face records,
+  // aux pre-assignment, stack flags, and the flux operands of every
+  // material pair and (material, boundary type) key, built on first use --
   const std::size_t nf = static_cast<std::size_t>(n) * 4;
-  faceKind.assign(nf, FaceKind::kRegular);
-  faceAux.assign(nf, -1);
-  seafloorIndexOfFace.assign(nf, -1);
+  faces.assign(nf, {});
+  stackNeeded.assign(n, 0);
   std::map<std::pair<int, int>, InterfaceFluxOperands> interfaceOperands;
   std::map<std::pair<int, BoundaryType>, FluxOperand> boundaryOperands;
-  // Per face: the operands its fluxMinusT / fluxPlusT rotate (null: zero).
+  // Per face slot: the operands its flux matrices rotate (null: zero).
   std::vector<const FluxOperand*> minusOperand(nf, nullptr);
   std::vector<const FluxOperand*> plusOperand(nf, nullptr);
   // The entry of `key` in `cache`, built by `make` on first use.
@@ -120,20 +133,26 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   for (int e = 0; e < n; ++e) {
     const int mat = mesh.elements[e].material;
     for (int f = 0; f < 4; ++f) {
-      const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
+      const std::size_t idx = slotOf(e, f);
       const FaceInfo& info = mesh.faces[e][f];
+      FaceRecord& rec = faces[idx];
+      rec.neighbor = info.neighbor;
+      rec.neighborFace = static_cast<std::uint8_t>(info.neighborFace);
+      rec.permutation = static_cast<std::uint8_t>(info.permutation);
 
       if (info.neighbor >= 0) {
+        const int dc = clusters.cluster[info.neighbor] - clusters.cluster[e];
+        rec.relation = dc == 0 ? 0 : (dc > 0 ? 1 : 2);
         if (info.bc == BoundaryType::kDynamicRupture) {
-          faceKind[idx] = (e < info.neighbor) ? FaceKind::kRuptureMinus
-                                              : FaceKind::kRupturePlus;
+          rec.kind = (e < info.neighbor) ? FaceKind::kRuptureMinus
+                                         : FaceKind::kRupturePlus;
+          stackNeeded[e] = 1;
           if (e < info.neighbor) {
             // Aux index pre-assigned in discovery order: each run's
             // FaultSolver::addFace replay yields exactly these indices.
             const int fi = static_cast<int>(ruptureFaces.size());
-            faceAux[idx] = fi;
-            faceAux[static_cast<std::size_t>(info.neighbor) * 4 +
-                    info.neighborFace] = fi;
+            rec.aux = fi;
+            faces[slotOf(info.neighbor, info.neighborFace)].aux = fi;
             ruptureFaces.push_back({e, f, info.neighbor, info.neighborFace});
           }
           continue;
@@ -144,19 +163,25 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
               return interfaceFluxOperands(materialTable[mat],
                                            materialTable[matPlus]);
             });
-        faceKind[idx] = FaceKind::kRegular;
+        rec.kind = FaceKind::kRegular;
         minusOperand[idx] = &ops.minus;
         plusOperand[idx] = &ops.plus;
+        // A coarser neighbour's stack is Taylor-integrated over this
+        // element's sub-interval in its corrector.
+        if (rec.relation == 1) {
+          stackNeeded[info.neighbor] = 1;
+        }
         continue;
       }
 
       // Boundary faces.
       if (info.bc == BoundaryType::kGravityFreeSurface && gravityOn &&
           elemMaterial[e].isAcoustic()) {
-        faceKind[idx] = FaceKind::kGravity;
+        rec.kind = FaceKind::kGravity;
+        stackNeeded[e] = 1;
         // Aux index pre-assigned in discovery order (the per-run
         // GravityBoundary::addFace replay matches it).
-        faceAux[idx] = static_cast<int>(gravityFaces.size());
+        rec.aux = static_cast<int>(gravityFaces.size());
         gravityFaces.push_back({e, f});
         continue;
       }
@@ -164,17 +189,17 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           (info.bc == BoundaryType::kGravityFreeSurface)
               ? BoundaryType::kFreeSurface
               : info.bc;
-      faceKind[idx] = FaceKind::kBoundaryFolded;
+      rec.kind = FaceKind::kBoundaryFolded;
       minusOperand[idx] = &cached(boundaryOperands, std::pair{mat, folded}, [&] {
         return boundaryFluxOperand(materialTable[mat], folded);
       });
     }
   }
 
-  // ---- fill pass (the calling thread's OpenMP team; every entry depends
-  // only on its own element, so the bits do not depend on the team size):
-  // star matrices, rotated and scaled flux matrices, face scales, LTS
-  // neighbour flags ------------------------------------------------------
+  // ---- fill pass (the calling thread's OpenMP team, over kernel order;
+  // every entry depends only on its own element, so the bits do not
+  // depend on the team size): star matrices, rotated and scaled flux
+  // matrices, face scales, LTS neighbour flags ---------------------------
   constexpr int kQ = kNumQuantities;
   constexpr int stride = kQ * kQ;
   std::vector<MaterialJacobians> jacobiansOfMaterial;
@@ -185,7 +210,6 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   starT.resize(static_cast<std::size_t>(n) * 3 * stride);
   fluxMinusT.resize(nf * stride);
   fluxPlusT.resize(nf * stride);
-  faceScale.assign(nf, 0.0);
   hasCoarserNeighbor.assign(n, 0);
 
   // dst = scale * (T(n) (op.a (op.g T(n)^{-1})))^T, or zeros without op.
@@ -209,7 +233,8 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   {
     tsanAcquire();
 #pragma omp for schedule(static)
-    for (int e = 0; e < n; ++e) {
+    for (int pos = 0; pos < n; ++pos) {
+      const int e = kernelOrder[pos];
       const auto g = gradXi(mesh, e);
       const MaterialJacobians& jac =
           jacobiansOfMaterial[mesh.elements[e].material];
@@ -217,7 +242,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
         Mat9 star;
         starMatrix(jac, g[c], star);
         real* dst =
-            starT.data() + (static_cast<std::size_t>(e) * 3 + c) * stride;
+            starT.data() + (static_cast<std::size_t>(pos) * 3 + c) * stride;
         for (int i = 0; i < kQ; ++i) {
           for (int j = 0; j < kQ; ++j) {
             dst[i * kQ + j] = star[j * kQ + i];  // transposed
@@ -227,13 +252,13 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
 
       const real volJ = 6.0 * mesh.volume(e);
       for (int f = 0; f < 4; ++f) {
-        const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
+        const std::size_t idx = static_cast<std::size_t>(pos) * 4 + f;
         const int nb = mesh.faces[e][f].neighbor;
         if (nb >= 0 && clusters.cluster[nb] > clusters.cluster[e]) {
           hasCoarserNeighbor[e] = 1;
         }
         const real scale = 2.0 * mesh.faceArea(e, f) / volJ;
-        faceScale[idx] = scale;
+        faces[idx].scale = scale;
         FaceRotation rot{};
         if (minusOperand[idx]) {
           rot = faceRotation(mesh.faceNormal(e, f));
@@ -270,7 +295,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
         sf.qpX[i] = x[0];
         sf.qpY[i] = x[1];
       }
-      seafloorIndexOfFace[static_cast<std::size_t>(e) * 4 + f] =
+      faces[slotOf(e, f)].seafloor =
           static_cast<int>(seafloorGeometry.size());
       seafloorGeometry.push_back(std::move(sf));
     }
@@ -291,83 +316,6 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   spatialIndex = std::make_unique<SpatialIndex>(mesh);
 
   assetHash = computeAssetHash(mesh, materialTable, cfg);
-}
-
-std::shared_ptr<const BatchedAssets> SimulationAssets::batchedAssets(
-    int batchSize) const {
-  const int key = batchSize > 0 ? batchSize : autoBatchSize(rm.nb, cfg.degree);
-  {
-    std::lock_guard<std::mutex> lock(batchedMutex_);
-    const auto it = batchedCache_.find(key);
-    if (it != batchedCache_.end()) {
-      return it->second;
-    }
-  }
-
-  // Build outside the lock (idempotent: a racing build produces identical
-  // content and the first insert wins).
-  auto ba = std::make_shared<BatchedAssets>();
-  ba->layout = ClusterBatchLayout(clusters, rm.nb, cfg.degree, key);
-  const std::size_t nOrdered = ba->layout.elements().size();
-  const int stride = kNumQuantities * kNumQuantities;
-  ba->starTB.assign(nOrdered * 3 * stride, 0.0);
-  ba->negStarTB.assign(nOrdered * 3 * stride, 0.0);
-  ba->negFluxMinusTB.assign(nOrdered * 4 * stride, 0.0);
-  ba->negFluxPlusTB.assign(nOrdered * 4 * stride, 0.0);
-  ba->batchFaces.assign(nOrdered * 4, {});
-  ba->stackNeeded.assign(mesh.numElements(), 0);
-  for (std::size_t i = 0; i < nOrdered; ++i) {
-    const int e = ba->layout.elements()[i];
-    std::memcpy(ba->starTB.data() + i * 3 * stride,
-                starT.data() + static_cast<std::size_t>(e) * 3 * stride,
-                sizeof(real) * 3 * stride);
-    for (int j = 0; j < 3 * stride; ++j) {
-      ba->negStarTB[i * 3 * stride + j] = -ba->starTB[i * 3 * stride + j];
-    }
-    for (int f = 0; f < 4; ++f) {
-      const std::size_t src = static_cast<std::size_t>(e) * 4 + f;
-      const std::size_t dst = i * 4 + f;
-      // The corrector only ever uses the flux-solver matrices negated
-      // (reference: multiply, then negate the product); storing them
-      // pre-negated folds that pass into the GEMM operand -- each product
-      // term flips sign exactly, so results stay bitwise-identical.
-      for (int j = 0; j < stride; ++j) {
-        ba->negFluxMinusTB[dst * stride + j] = -fluxMinusT[src * stride + j];
-        ba->negFluxPlusTB[dst * stride + j] = -fluxPlusT[src * stride + j];
-      }
-      BatchFaceInfo& info = ba->batchFaces[dst];
-      const FaceInfo& mi = mesh.faces[e][f];
-      info.kind = faceKind[src];
-      info.neighbor = mi.neighbor;
-      info.neighborFace = static_cast<std::uint8_t>(mi.neighborFace);
-      info.permutation = static_cast<std::uint8_t>(mi.permutation);
-      info.aux = faceAux[src];
-      info.seafloor = seafloorIndexOfFace[src];
-      info.scale = faceScale[src];
-      if (mi.neighbor >= 0) {
-        const int dc = clusters.cluster[mi.neighbor] - clusters.cluster[e];
-        info.relation = dc == 0 ? 0 : (dc > 0 ? 1 : 2);
-      }
-      // Flag stacks read outside their own predictor: gravity and rupture
-      // faces read this element's stack; a coarser neighbour's stack is
-      // Taylor-integrated over our sub-interval in the corrector.
-      if (info.kind == FaceKind::kGravity ||
-          info.kind == FaceKind::kRuptureMinus ||
-          info.kind == FaceKind::kRupturePlus) {
-        ba->stackNeeded[e] = 1;
-      } else if (info.kind == FaceKind::kRegular && mi.neighbor >= 0 &&
-                 info.relation == 1) {
-        ba->stackNeeded[mi.neighbor] = 1;
-      }
-    }
-  }
-  ba->batchScratchSize = static_cast<std::size_t>(cfg.degree + 3) * rm.nb *
-                         kNumQuantities * ba->layout.batchSize();
-
-  std::lock_guard<std::mutex> lock(batchedMutex_);
-  const auto [it, inserted] = batchedCache_.emplace(key, std::move(ba));
-  (void)inserted;
-  return it->second;
 }
 
 }  // namespace tsg

@@ -9,13 +9,18 @@
 //  * geometry: the mesh, per-element materials, the point-location index;
 //  * discretisation: basis reference matrices, the LTS ClusterLayout;
 //  * static kernel operands: transposed star matrices, precomputed
-//    per-face Godunov flux matrices, face metadata (kind / aux index /
-//    scale / seafloor recorder index);
+//    per-face Godunov flux matrices and one FaceRecord per face (kind /
+//    neighbour / aux index / scale / seafloor recorder index), stored in
+//    kernel order (below);
 //  * boundary-face topology: gravity-surface faces, dynamic-rupture face
 //    pairs (with their aux indices pre-assigned in the canonical order),
-//    per-cluster fault-face id lists, seafloor recorder geometry;
-//  * the cluster-contiguous batched operand tensors (lazily built per
-//    batch size and cached, shared by the batched and fast backends).
+//    per-cluster fault-face id lists, seafloor recorder geometry.
+//
+// Kernel order is the concatenation of clusters.elementsOfCluster.  Every
+// batch of the tile pipeline, whatever the batch size, is a contiguous run
+// of it, so the batched and fast backends read the operands in place; the
+// reference backend reaches them through positionOf.  The operands exist
+// once, and no backend keeps a copy.
 //
 // Everything per-run -- DOFs, eta, friction state, uplift accumulators,
 // receivers, the clock -- stays in Simulation/SolverState.  The ensemble
@@ -26,7 +31,7 @@
 // indices in exactly the (element, face) iteration order the pre-split
 // Simulation used, and each run *replays* its GravityBoundary / FaultSolver
 // construction over the recorded face lists in that same order.  Replayed
-// indices therefore coincide with the precomputed faceAux values, and a
+// indices therefore coincide with the precomputed FaceRecord::aux, and a
 // run built from shared assets is bitwise identical to a standalone one.
 //
 // Build cost: the static operands are split by what they depend on.  The
@@ -37,20 +42,18 @@
 // runs in two passes: a serial discovery pass in canonical (e, f) order
 // (face kinds, aux indices, the per-pair operands) and a fill pass over
 // the calling thread's OpenMP team (star and flux operands, face scales),
-// whose results do not depend on the thread count.  The fill pass is also
-// the first touch of the ~7 KiB per element of operand arrays.  On the
+// whose results do not depend on the thread count.  The fill pass walks
+// kernel order, so it is also the first touch of the ~7 KiB per element of
+// operand arrays in the order the kernels stream them.  On the
 // megathrust preset (7020 elements, 2 materials, degree 2) this took the
 // build from ~0.25 s to a few hundredths of a second; see ROADMAP.md.
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "geometry/mesh.hpp"
 #include "geometry/spatial_index.hpp"
-#include "kernels/batch_layout.hpp"
 #include "kernels/reference_matrices.hpp"
 #include "physics/material.hpp"
 #include "solver/solver_config.hpp"
@@ -127,32 +130,17 @@ struct SeafloorFaceGeometry {
   std::vector<real> qpX, qpY;  // [nq] physical quadrature points
 };
 
-/// Batch-ordered face metadata of the batched/fast pipelines.
-struct BatchFaceInfo {
+/// Static metadata of one face, stored in kernel order beside its flux
+/// operands.
+struct FaceRecord {
   FaceKind kind = FaceKind::kRegular;
   std::uint8_t neighborFace = 0, permutation = 0;
   // Neighbor cluster relation: 0 same cluster, 1 coarser, 2 finer.
   std::uint8_t relation = 0;
   int neighbor = -1;   // mesh element id
-  int aux = -1;        // gravity/rupture face index
-  int seafloor = -1;   // seafloorFaces index
-  real scale = 0;
-};
-
-/// The cluster-contiguous operand tensors of the batched/fast backends,
-/// a pure relayout of the asset arrays for one batch size.
-struct BatchedAssets {
-  ClusterBatchLayout layout;
-  std::vector<BatchFaceInfo> batchFaces;  // [orderedElem*4 + f]
-  std::vector<real> starTB;               // [orderedElem][3][81]
-  std::vector<real> negStarTB;            // -starTB (predictor operand)
-  std::vector<real> negFluxMinusTB;       // [orderedElem*4+f][81], negated
-  std::vector<real> negFluxPlusTB;        // [orderedElem*4+f][81], negated
-  // Mesh elements whose derivative stack is read outside their own
-  // predictor (gravity/rupture faces, coarser LTS neighbours).
-  std::vector<std::uint8_t> stackNeeded;  // [mesh elem]
-  // Tile scratch of the batched pipeline ((degree+3) tiles of nb*9*B).
-  std::size_t batchScratchSize = 0;
+  int aux = -1;        // gravity/rupture face index (pre-assigned)
+  int seafloor = -1;   // seafloorGeometry index or -1
+  real scale = 0;      // 2 A_f / |J|
 };
 
 /// FNV-1a key over mesh content + material table + structural config;
@@ -183,17 +171,22 @@ class SimulationAssets {
   int nbq = 0;                  // nb * 9, reals per modal block
   std::size_t scratchSize = 0;  // per-element kernel scratch [reals]
 
-  // Static per-element data.
-  OperandVector starT;  // [elem][3][81], transposed star matrices
-  std::vector<std::uint8_t> hasCoarserNeighbor;
+  // Kernel order (see the top of this file) and its inverse.
+  std::vector<int> kernelOrder;  // [position] -> mesh element
+  std::vector<int> positionOf;   // [mesh element] -> position
 
-  // Static per-face data, indexed [elem*4 + f].
-  std::vector<FaceKind> faceKind;
-  OperandVector fluxMinusT;  // [81] each, pre-scaled
-  OperandVector fluxPlusT;   // [81] each, pre-scaled
-  std::vector<int> faceAux;      // gravity/rupture index (pre-assigned)
-  std::vector<real> faceScale;   // 2 A_f / |J|
-  std::vector<int> seafloorIndexOfFace;  // seafloorGeometry index or -1
+  // Static operands, indexed by position: [pos][3][81] star matrices,
+  // [pos*4 + f] faces and flux matrices.
+  OperandVector starT;  // transposed star matrices
+  std::vector<FaceRecord> faces;
+  OperandVector fluxMinusT;  // [81] each, transposed, pre-scaled
+  OperandVector fluxPlusT;   // [81] each, transposed, pre-scaled
+
+  // Static per-element flags, indexed by mesh element.
+  std::vector<std::uint8_t> hasCoarserNeighbor;
+  // Derivative stack read outside the element's own predictor (gravity
+  // and rupture faces, the coarser side of an LTS interface).
+  std::vector<std::uint8_t> stackNeeded;
 
   // Boundary-face topology, in aux-index order.
   std::vector<GravityFaceRef> gravityFaces;
@@ -208,15 +201,6 @@ class SimulationAssets {
   std::unique_ptr<SpatialIndex> spatialIndex;
 
   std::uint64_t assetHash = 0;
-
-  /// The batched operand tensors for one batch size (<= 0 selects the
-  /// auto size), built on first request and cached; thread-safe, so
-  /// concurrent ensemble members share one relayout per batch size.
-  std::shared_ptr<const BatchedAssets> batchedAssets(int batchSize) const;
-
- private:
-  mutable std::mutex batchedMutex_;
-  mutable std::map<int, std::shared_ptr<const BatchedAssets>> batchedCache_;
 };
 
 }  // namespace tsg

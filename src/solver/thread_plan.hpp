@@ -81,8 +81,8 @@ class ThreadPlan {
 
 /// Build the plan for the backend's current tile layout: queries each
 /// tile's elements (KernelBackend::appendTileElements) and aggregates the
-/// Eq. 28 vertex weights of `state`'s mesh/clusters per tile.  The backend
-/// must be prepared (tile layout final) before calling.
+/// Eq. 28 vertex weights of `state`'s mesh/clusters per tile (a backend's
+/// tile layout is fixed at its construction).
 ThreadPlan buildThreadPlan(int threads, const SolverState& state,
                            const KernelBackend& backend);
 

@@ -6,8 +6,9 @@
 // build used before that split, kept verbatim: per face, the full
 // Godunov set-up and rot * (aFace * (g * rotInv)); per element, the star
 // matrix summed from freshly built Jacobians.  Every face's fluxMinusT /
-// fluxPlusT and every element's starT must equal it byte for byte, and
-// the threaded fill pass must give the same bytes on any team size.
+// fluxPlusT and every element's starT (stored in kernel order, reached
+// through positionOf) must equal it byte for byte, and the threaded fill
+// pass must give the same bytes on any team size.
 
 #include <cmath>
 #include <cstring>
@@ -168,20 +169,21 @@ void expectOperandsMatchOracle(const SimulationAssets& a, Coverage& cov) {
   const int n = mesh.numElements();
   std::vector<real> star(kStride * 3), fMinus(kStride), fPlus(kStride);
   for (int e = 0; e < n; ++e) {
+    const std::size_t pos = static_cast<std::size_t>(a.positionOf[e]);
     const Material& mat = a.elemMaterial[e];
     const auto g = oracle::gradXi(mesh, e);
     for (int c = 0; c < 3; ++c) {
       oracle::storeT(oracle::starMatrix(mat, g[c]), 1.0,
                      star.data() + c * kStride);
     }
-    ASSERT_EQ(std::memcmp(star.data(), a.starT.data() + e * 3 * kStride,
+    ASSERT_EQ(std::memcmp(star.data(), a.starT.data() + pos * 3 * kStride,
                           sizeof(real) * 3 * kStride),
               0)
         << "starT of element " << e;
 
     const real volJ = 6.0 * mesh.volume(e);
     for (int f = 0; f < 4; ++f) {
-      const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
+      const std::size_t idx = pos * 4 + f;
       const FaceInfo& info = mesh.faces[e][f];
       const Vec3 normal = mesh.faceNormal(e, f);
       const real scale = 2.0 * mesh.faceArea(e, f) / volJ;
@@ -333,7 +335,9 @@ TEST(AssetOperands, FillPassIsIndependentOfTheThreadCount) {
   EXPECT_TRUE(sameBytes(one.starT, four.starT));
   EXPECT_TRUE(sameBytes(one.fluxMinusT, four.fluxMinusT));
   EXPECT_TRUE(sameBytes(one.fluxPlusT, four.fluxPlusT));
-  EXPECT_TRUE(sameBytes(one.faceScale, four.faceScale));
+  // FaceRecord has no padding, so its bytes are its fields.
+  static_assert(sizeof(FaceRecord) == 4 + 3 * sizeof(int) + sizeof(real));
+  EXPECT_TRUE(sameBytes(one.faces, four.faces));
   EXPECT_TRUE(sameBytes(one.hasCoarserNeighbor, four.hasCoarserNeighbor));
   EXPECT_EQ(one.assetHash, four.assetHash);
 }

@@ -2,13 +2,15 @@
 // per-element reference path:
 //  * bitwise-identical receiver CSVs on the megathrust mini-scenario in
 //    deterministic mode (gravity + dynamic rupture + LTS all active), on
-//    every host-executable ISA variant of the stage kernels,
+//    every host-executable ISA variant of the stage kernels and at several
+//    batch sizes, all runs on one shared asset build,
 //  * full DOF agreement to 1e-12 in the default (non-deterministic) mode,
 //  * the relayout gather/scatter round-trips modal data exactly,
 //  * the batch layout is a permutation partition of the element set.
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -36,23 +38,44 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { omp_set_num_threads(saved); }
 };
 
+/// The megathrust mini-scenario and the one asset build its runs share.
+struct MiniCase {
+  MegathrustScenario scenario;
+  SolverConfig config = megathrustSolverConfig(2);
+  std::shared_ptr<const SimulationAssets> assets;
+};
+
+const MiniCase& miniCase() {
+  static const MiniCase c = [] {
+    MegathrustParams p;
+    p.h = 3000.0;
+    p.faultAlongStrike = 12000.0;
+    p.faultDownDip = 9000.0;
+    p.domainPadding = 12000.0;
+    MiniCase m;
+    m.scenario = buildMegathrustScenario(p);
+    m.assets = std::make_shared<const SimulationAssets>(
+        m.scenario.mesh, m.scenario.materials,
+        AssetConfig::fromSolverConfig(m.config));
+    return m;
+  }();
+  return c;
+}
+
+/// `batchSize` <= 0 selects the auto size.
 std::unique_ptr<Simulation> megathrustMini(KernelPath path, bool deterministic,
-                                           int threads) {
+                                           int threads, int batchSize = 0) {
   omp_set_num_threads(threads);
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
-  SolverConfig sc = megathrustSolverConfig(2);
+  const MiniCase& m = miniCase();
+  SolverConfig sc = m.config;
   sc.deterministic = deterministic;
   sc.kernelPath = path;
-  auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
+  sc.batchSize = batchSize;
+  auto sim = std::make_unique<Simulation>(m.assets, sc);
   sim->setInitialCondition([](const Vec3&, int) {
     return std::array<real, 9>{};
   });
-  sim->setupFault(s.faultInit);
+  sim->setupFault(m.scenario.faultInit);
   sim->addReceiver("water", {0.0, 0.0, -1000.0});
   sim->addReceiver("crust", {2000.0, 1000.0, -4000.0});
   sim->advanceTo(2.999 * sim->macroDt());
@@ -109,19 +132,38 @@ void expectBitwiseEqual(const Simulation& ref, const Simulation& bat) {
 // reference path's receiver output BYTE-for-byte in deterministic mode.
 //
 // The batched backend runs the dispatched per-ISA stage-kernel table, so
-// the contract is checked for every variant the host can execute.
+// the contract is checked for every variant the host can execute.  The
+// operands are stored once, in kernel order, whatever the batch size: so
+// every batch size runs on the reference's asset build, including one
+// far above the largest cluster (capped to it, not allocated).
 TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
   ThreadCountGuard guard;
   ForceIsaGuard isaGuard;
   const auto ref = megathrustMini(KernelPath::kReference, true, 8);
+  std::size_t largestCluster = 0;
+  for (const auto& elems : ref->clusters().elementsOfCluster) {
+    largestCluster = std::max(largestCluster, elems.size());
+  }
   for (const FastIsa isa : {FastIsa::kScalar, FastIsa::kSse2, FastIsa::kAvx2,
                             FastIsa::kAvx512}) {
     if (!fastIsaSupported(isa)) {
       continue;
     }
-    SCOPED_TRACE(fastIsaName(isa));
     setenv("TSG_FORCE_ISA", fastIsaName(isa), 1);
-    expectBitwiseEqual(*ref, *megathrustMini(KernelPath::kBatched, true, 8));
+    for (const int batchSize : {0, 4, 7, 200000000}) {
+      SCOPED_TRACE(testing::Message()
+                   << fastIsaName(isa) << " batch size " << batchSize);
+      const auto bat =
+          megathrustMini(KernelPath::kBatched, true, 8, batchSize);
+      ASSERT_EQ(bat->assets(), ref->assets());
+      EXPECT_LE(static_cast<std::size_t>(bat->batchLayout().batchSize()),
+                largestCluster);
+      if (batchSize > 0) {
+        EXPECT_EQ(bat->batchLayout().batchSize(),
+                  std::min<int>(batchSize, static_cast<int>(largestCluster)));
+      }
+      expectBitwiseEqual(*ref, *bat);
+    }
   }
 }
 
@@ -257,18 +299,22 @@ TEST(BatchedKernels, AutoBatchSizeIsBoundedMultipleOf4) {
   }
 }
 
-// The lazily-built layout must partition the element set: every element
+// Kernel order must be a permutation of the element set with positionOf
+// its inverse, and the batch layout must partition it: every element
 // exactly once, batches cluster-pure and within the batch size.
 TEST(BatchedKernels, BatchLayoutPartitionsElements) {
   ThreadCountGuard guard;
   const auto sim = megathrustMini(KernelPath::kBatched, false, 4);
   const ClusterBatchLayout& layout = sim->batchLayout();
+  const std::vector<int>& order = sim->assets()->kernelOrder;
   const int n = sim->mesh().numElements();
-  ASSERT_EQ(static_cast<int>(layout.elements().size()), n);
+  ASSERT_EQ(static_cast<int>(order.size()), n);
   std::vector<int> seen(n, 0);
-  for (const int e : layout.elements()) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const int e = order[i];
     ASSERT_GE(e, 0);
     ASSERT_LT(e, n);
+    EXPECT_EQ(sim->assets()->positionOf[e], static_cast<int>(i));
     ++seen[e];
   }
   for (int e = 0; e < n; ++e) {
@@ -280,12 +326,11 @@ TEST(BatchedKernels, BatchLayoutPartitionsElements) {
     EXPECT_LE(b.width, layout.batchSize());
     EXPECT_EQ(static_cast<std::size_t>(b.begin), covered);
     for (int lane = 0; lane < b.width; ++lane) {
-      EXPECT_EQ(sim->clusters().cluster[layout.elements()[b.begin + lane]],
-                b.cluster);
+      EXPECT_EQ(sim->clusters().cluster[order[b.begin + lane]], b.cluster);
     }
     covered += b.width;
   }
-  EXPECT_EQ(covered, layout.elements().size());
+  EXPECT_EQ(covered, order.size());
 }
 
 }  // namespace

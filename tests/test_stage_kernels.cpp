@@ -11,10 +11,15 @@
 //    overwrite of its scratch) over row counts and lane widths with null
 //    lanes in between,
 //  * the predictor and volume stages (overwrite, then accumulate) over
-//    degrees 1-3 and partial batches.
-// Inputs mix +-0 and subnormals with normal values; every buffer carries
-// a sentinel past column n, in padding and in skipped lanes, and the
-// comparisons cover the whole buffer, sentinels included.
+//    degrees 1-3 and partial batches,
+//  * the predictor and per-lane flux stages again with subnormals flushed
+//    (FTZ|DAZ, the fast backend's mode).
+// The predictor and flux stages subtract their products (subtract mode);
+// their oracle is gemmAccImpl on an explicitly negated copy of the
+// operand, the reference path's form.  Inputs mix +-0 and subnormals with
+// normal values; every buffer carries a sentinel past column n, in
+// padding and in skipped lanes, and the comparisons cover the whole
+// buffer, sentinels included.
 
 #include <cstdint>
 #include <cstring>
@@ -24,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "common/matrix.hpp"
+#include "kernels/backends/fast_backend.hpp"
 #include "kernels/backends/isa_dispatch.hpp"
 #include "kernels/reference_matrices.hpp"
 
@@ -60,6 +66,26 @@ std::vector<real> operand(std::size_t n, std::mt19937& rng) {
     }
   }
   return v;
+}
+
+/// The operand with every sign flipped (the reference path's negated
+/// operand; unary minus is exact, subnormals and zeros included).
+std::vector<real> negated(std::vector<real> v) {
+  for (real& x : v) {
+    x = -x;
+  }
+  return v;
+}
+
+/// Runs `f`, with subnormals flushed (FTZ|DAZ) when `flush` is set.
+template <class F>
+void runFlushed(bool flush, F f) {
+  if (flush) {
+    FlushSubnormalsScope ftz;
+    f();
+  } else {
+    f();
+  }
 }
 
 /// An m x n block with leading dimension ld: operand values in the block,
@@ -112,38 +138,45 @@ std::vector<const StageKernels*> executableTables() {
 /// Runs kt.aderPredictor on a stack whose level 0 holds random DOFs and
 /// whose levels 1..degree and scratch tile start as `expScratch` (the
 /// sentinel outside written columns), and compares stack and scratch
-/// with the reference order on zero-filled destinations.  The derivative
-/// product (nb x 9*width x nb) and the first star product (nb x 9 x 9)
-/// overwrite; the other two star products accumulate.
+/// with the reference order on zero-filled destinations, the star
+/// products taken with the negated operand.  The derivative product
+/// (nb x 9*width x nb) and the first star product (nb x 9 x 9)
+/// overwrite; the other two star products accumulate.  With `flush` both
+/// sides run with subnormals flushed (FTZ|DAZ).
 void checkPredictor(const StageKernels& kt, const ReferenceMatrices& rm,
                     int width, int ld, const std::vector<real>& starTB,
                     std::vector<real>& expScratch,
-                    std::vector<real>& actScratch, std::mt19937& rng) {
+                    std::vector<real>& actScratch, std::mt19937& rng,
+                    bool flush = false) {
   const int nb = rm.nb, degree = rm.degree, cols = kQ * width;
   const std::size_t tileSize = static_cast<std::size_t>(nb) * ld;
   std::vector<real> expStack((degree + 1) * tileSize, sentinel());
   const std::vector<real> level0 = block(nb, cols, ld, rng, 0);
   std::copy(level0.begin(), level0.end(), expStack.begin());
   std::vector<real> actStack = expStack;
-  for (int k = 0; k < degree; ++k) {
-    const real* cur = expStack.data() + k * tileSize;
-    std::vector<real> next(expStack.begin() + (k + 1) * tileSize,
-                           expStack.begin() + (k + 2) * tileSize);
-    zeroColumns(next, nb, 0, cols, ld);
-    for (int c = 0; c < 3; ++c) {
-      zeroColumns(expScratch, nb, 0, cols, ld);
-      detail::gemmAccImpl(nb, cols, nb, rm.dXi[c].data(), nb, cur, ld,
-                          expScratch.data(), ld);
-      for (int lane = 0; lane < width; ++lane) {
-        detail::gemmAccImpl(nb, kQ, kQ, expScratch.data() + lane * kQ, ld,
-                            starTB.data() + (lane * 3 + c) * 81, kQ,
-                            next.data() + lane * kQ, ld);
+  const std::vector<real> negStarTB = negated(starTB);
+  runFlushed(flush, [&] {
+    for (int k = 0; k < degree; ++k) {
+      const real* cur = expStack.data() + k * tileSize;
+      std::vector<real> next(expStack.begin() + (k + 1) * tileSize,
+                             expStack.begin() + (k + 2) * tileSize);
+      zeroColumns(next, nb, 0, cols, ld);
+      for (int c = 0; c < 3; ++c) {
+        zeroColumns(expScratch, nb, 0, cols, ld);
+        detail::gemmAccImpl(nb, cols, nb, rm.dXi[c].data(), nb, cur, ld,
+                            expScratch.data(), ld);
+        for (int lane = 0; lane < width; ++lane) {
+          detail::gemmAccImpl(nb, kQ, kQ, expScratch.data() + lane * kQ, ld,
+                              negStarTB.data() + (lane * 3 + c) * 81, kQ,
+                              next.data() + lane * kQ, ld);
+        }
       }
+      std::copy(next.begin(), next.end(),
+                expStack.begin() + (k + 1) * tileSize);
     }
-    std::copy(next.begin(), next.end(), expStack.begin() + (k + 1) * tileSize);
-  }
-  kt.aderPredictor(rm, starTB.data(), actStack.data(), actScratch.data(),
-                   width, ld);
+    kt.aderPredictor(rm, starTB.data(), actStack.data(), actScratch.data(),
+                     width, ld);
+  });
   expectSameBits(expStack, actStack, "predictor stack");
   expectSameBits(expScratch, actScratch, "predictor scratch");
 }
@@ -205,9 +238,67 @@ TEST(StageKernels, OverwriteModeTailShapesMatchReferenceBitwise) {
   }
 }
 
-// Per-lane products (n = 9): the local flux accumulates into its lanes,
-// the neighbour flux overwrites its scratch and accumulates into the DOF
-// tile.  Null lanes must stay untouched, as must the tile padding.
+/// Per-lane products (n = 9): the local flux subtracts into its lanes,
+/// the neighbour flux overwrites its scratch with the negated product and
+/// accumulates into the DOF tile.  Null lanes must stay untouched, as
+/// must the tile padding.  With `flush` both sides run with subnormals
+/// flushed (FTZ|DAZ).
+void checkPerLaneFlux(const StageKernels& kt, int nb, int width,
+                      std::mt19937& rng, bool flush = false) {
+  const int ld = kQ * width + 5;
+  const std::vector<real> tInt = block(nb, kQ * width, ld, rng);
+  const std::vector<real> flux = operand(width * 81, rng);
+  const std::vector<real> negFlux = negated(flux);
+  const std::vector<real> fluxNeighbor = operand(nb * nb, rng);
+  const std::vector<real> src = operand(width * nb * kQ, rng);
+  std::vector<const real*> fluxT(width, nullptr);
+  std::vector<NeighborFluxLane> lanes(width);
+  for (int lane = 0; lane < width; ++lane) {
+    if (lane % 3 == 1) {
+      continue;  // a skipped lane between two live ones
+    }
+    fluxT[lane] = flux.data() + lane * 81;
+    lanes[lane] = {src.data() + lane * nb * kQ, fluxT[lane],
+                   fluxNeighbor.data()};
+  }
+  std::vector<real> expected = block(nb, kQ * width, ld, rng);
+  std::vector<real> actual = expected;
+  std::vector<real> expectedScratch = block(nb, kQ, kQ, rng);
+  std::vector<real> actualScratch = expectedScratch;
+
+  runFlushed(flush, [&] {
+    for (int lane = 0; lane < width; ++lane) {
+      if (fluxT[lane]) {
+        detail::gemmAccImpl(nb, kQ, kQ, tInt.data() + lane * kQ, ld,
+                            negFlux.data() + lane * 81, kQ,
+                            expected.data() + lane * kQ, ld);
+      }
+    }
+    kt.localFluxStage(nb, width, ld, tInt.data(), fluxT.data(),
+                      actual.data());
+  });
+  expectSameBits(expected, actual, "local flux tile");
+
+  runFlushed(flush, [&] {
+    for (int lane = 0; lane < width; ++lane) {
+      const NeighborFluxLane& ln = lanes[lane];
+      if (!ln.src) {
+        continue;
+      }
+      zeroColumns(expectedScratch, nb, 0, kQ, kQ);
+      detail::gemmAccImpl(nb, kQ, kQ, ln.src, kQ, negFlux.data() + lane * 81,
+                          kQ, expectedScratch.data(), kQ);
+      detail::gemmAccImpl(nb, kQ, nb, ln.fluxNeighbor, nb,
+                          expectedScratch.data(), kQ,
+                          expected.data() + lane * kQ, ld);
+    }
+    kt.neighborFluxStage(nb, width, ld, lanes.data(), actualScratch.data(),
+                         actual.data());
+  });
+  expectSameBits(expected, actual, "neighbour flux tile");
+  expectSameBits(expectedScratch, actualScratch, "neighbour flux scratch");
+}
+
 TEST(StageKernels, PerLaneFluxStagesMatchReferenceBitwise) {
   std::mt19937 rng(6);
   for (const StageKernels* kt : executableTables()) {
@@ -215,54 +306,7 @@ TEST(StageKernels, PerLaneFluxStagesMatchReferenceBitwise) {
       for (const int width : {1, 3, 5, 16}) {
         SCOPED_TRACE(testing::Message() << kt->isa << " nb " << nb
                                         << " width " << width);
-        const int ld = kQ * width + 5;
-        const std::vector<real> tInt = block(nb, kQ * width, ld, rng);
-        const std::vector<real> flux = operand(width * 81, rng);
-        const std::vector<real> fluxNeighbor = operand(nb * nb, rng);
-        const std::vector<real> src = operand(width * nb * kQ, rng);
-        std::vector<const real*> fluxT(width, nullptr);
-        std::vector<NeighborFluxLane> lanes(width);
-        for (int lane = 0; lane < width; ++lane) {
-          if (lane % 3 == 1) {
-            continue;  // a skipped lane between two live ones
-          }
-          fluxT[lane] = flux.data() + lane * 81;
-          lanes[lane] = {src.data() + lane * nb * kQ, fluxT[lane],
-                         fluxNeighbor.data()};
-        }
-
-        std::vector<real> expected = block(nb, kQ * width, ld, rng);
-        std::vector<real> actual = expected;
-        for (int lane = 0; lane < width; ++lane) {
-          if (fluxT[lane]) {
-            detail::gemmAccImpl(nb, kQ, kQ, tInt.data() + lane * kQ, ld,
-                                fluxT[lane], kQ, expected.data() + lane * kQ,
-                                ld);
-          }
-        }
-        kt->localFluxStage(nb, width, ld, tInt.data(), fluxT.data(),
-                           actual.data());
-        expectSameBits(expected, actual, "local flux tile");
-
-        std::vector<real> expectedScratch = block(nb, kQ, kQ, rng);
-        std::vector<real> actualScratch = expectedScratch;
-        for (int lane = 0; lane < width; ++lane) {
-          const NeighborFluxLane& ln = lanes[lane];
-          if (!ln.src) {
-            continue;
-          }
-          zeroColumns(expectedScratch, nb, 0, kQ, kQ);
-          detail::gemmAccImpl(nb, kQ, kQ, ln.src, kQ, ln.negFluxPlusT, kQ,
-                              expectedScratch.data(), kQ);
-          detail::gemmAccImpl(nb, kQ, nb, ln.fluxNeighbor, nb,
-                              expectedScratch.data(), kQ,
-                              expected.data() + lane * kQ, ld);
-        }
-        kt->neighborFluxStage(nb, width, ld, lanes.data(),
-                              actualScratch.data(), actual.data());
-        expectSameBits(expected, actual, "neighbour flux tile");
-        expectSameBits(expectedScratch, actualScratch,
-                       "neighbour flux scratch");
+        checkPerLaneFlux(*kt, nb, width, rng);
       }
     }
   }
@@ -307,6 +351,30 @@ TEST(StageKernels, PredictorAndVolumeMatchReferenceBitwise) {
                          actScratch.data(), width, ld);
         expectSameBits(expDofs, actDofs, "volume DOFs");
         expectSameBits(expScratch, actScratch, "volume scratch");
+      }
+    }
+  }
+}
+
+// Subtract mode under FTZ|DAZ (the fast backend): the predictor and the
+// per-lane flux stages, operands seeded with +-0 and subnormals, against
+// the negated-operand oracle run with subnormals flushed as well.
+TEST(StageKernels, SubtractModeMatchesNegatedOperandUnderFlush) {
+  std::mt19937 rng(9);
+  for (const StageKernels* kt : executableTables()) {
+    for (const int degree : {1, 2}) {
+      const ReferenceMatrices& rm = referenceMatrices(degree);
+      for (const int width : {1, 3, 16}) {
+        SCOPED_TRACE(testing::Message() << kt->isa << " degree " << degree
+                                        << " width " << width);
+        const int ld = kQ * width + 5;
+        const std::vector<real> starTB = operand(width * 3 * 81, rng);
+        std::vector<real> expScratch(static_cast<std::size_t>(rm.nb) * ld,
+                                     sentinel());
+        std::vector<real> actScratch = expScratch;
+        checkPredictor(*kt, rm, width, ld, starTB, expScratch, actScratch,
+                       rng, /*flush=*/true);
+        checkPerLaneFlux(*kt, rm.nb, width, rng, /*flush=*/true);
       }
     }
   }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "basis/dubiner.hpp"
-#include "common/span.hpp"
 #include "common/types.hpp"
 #include "geometry/mesh.hpp"
 #include "gravity/gravity_surface.hpp"
@@ -52,14 +51,6 @@ struct SolverState {
   GravityBoundary* gravity = nullptr;
   FaultSolver* fault = nullptr;
   std::vector<real> ruptureFlux;  // [face][2][nq*9] staging buffers
-  // Rupture-phase workload and per-cluster fault-face id lists (views
-  // into assets; precomputed from mesh topology, so they are populated
-  // even before setupFault -- the scheduler gates the rupture wave on
-  // `fault` being configured).  The rupture wave of cluster c iterates
-  // exactly its own faces (ascending face order, so the staging order is
-  // reproducible) instead of scanning ALL faces and filtering by cluster.
-  ConstSpan<std::int64_t> faultFacesOfCluster;
-  ConstSpan<std::vector<int>> faultFaceIdsOfCluster;
 
   // Observation state updated inside the corrector stage.
   std::vector<SeafloorFace> seafloorFaces;

@@ -111,7 +111,7 @@ void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
           const TileRange r = plan_.faultFaces(c, tid);
           const real dt = dtMin * static_cast<real>(span);
           const real stepStart = dtMin * static_cast<real>(tEnd - span);
-          const std::vector<int>& faces = s_.faultFaceIdsOfCluster[c];
+          const std::vector<int>& faces = s_.assets->faultFaceIdsOfCluster[c];
           rec.begin();
           for (int i = r.begin; i < r.end; ++i) {
             backend_.stageRuptureFace(faces[i], dt, stepStart);

@@ -47,11 +47,6 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   state_.nbq = nbq;
   state_.scratchSize = a.scratchSize;
 
-  // Static data: read-only views into the shared assets.
-  state_.faultFacesOfCluster = ConstSpan<std::int64_t>(a.faultFacesOfCluster);
-  state_.faultFaceIdsOfCluster =
-      ConstSpan<std::vector<int>>(a.faultFaceIdsOfCluster);
-
   // Per-run evolving state.
   state_.dofs.assign(static_cast<std::size_t>(n) * nbq, 0.0);
   state_.stack.assign(static_cast<std::size_t>(n) * nbq * (cfg_.degree + 1),

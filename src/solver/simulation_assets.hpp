@@ -194,7 +194,9 @@ class SimulationAssets {
   std::vector<SeafloorFaceGeometry> seafloorGeometry;
   // Fault face ids grouped by the owning (minus-side) element's cluster,
   // ascending within a cluster; the scheduler's rupture wave iterates
-  // exactly these lists.
+  // exactly these lists, and the thread plan splits their lengths
+  // (faultFacesOfCluster).  Built from mesh topology, so they exist
+  // before setupFault; the scheduler gates the wave on a fault solver.
   std::vector<std::vector<int>> faultFaceIdsOfCluster;
   std::vector<std::int64_t> faultFacesOfCluster;
 

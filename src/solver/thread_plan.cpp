@@ -195,14 +195,8 @@ ThreadPlan buildThreadPlan(int threads, const SolverState& state,
     }
   }
 
-  std::vector<std::int64_t> faultFaces(clusters.numClusters, 0);
-  for (int c = 0; c < clusters.numClusters &&
-                  c < static_cast<int>(state.faultFaceIdsOfCluster.size());
-       ++c) {
-    faultFaces[c] =
-        static_cast<std::int64_t>(state.faultFaceIdsOfCluster[c].size());
-  }
-  return ThreadPlan::build(threads, tileWeights, tileElements, faultFaces);
+  return ThreadPlan::build(threads, tileWeights, tileElements,
+                           state.assets->faultFacesOfCluster);
 }
 
 }  // namespace tsg

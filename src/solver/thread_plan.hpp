@@ -56,7 +56,7 @@ class ThreadPlan {
     return tileRanges_[static_cast<std::size_t>(cluster) * threads_ + thread];
   }
   /// Fault-face slice of `thread` within cluster c (indices into the
-  /// per-cluster fault-face id list, SolverState::faultFaceIdsOfCluster).
+  /// per-cluster fault-face id list, SimulationAssets::faultFaceIdsOfCluster).
   TileRange faultFaces(int cluster, int thread) const {
     return faultRanges_[static_cast<std::size_t>(cluster) * threads_ + thread];
   }

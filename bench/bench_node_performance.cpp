@@ -12,9 +12,13 @@
 // A second table times the tile-stage kernels themselves (the
 // StageKernels table of every ISA variant this host can execute) on the
 // megathrust production shapes: degree 2 (nb = 10), a full batch of 16
-// lanes (ld = 144).  It reports GFLOP/s and flop/cycle per core, so a
-// variant that silently stopped vectorising shows up as a ratio near 1
-// against `scalar`.  Written to node_performance_stages.csv.
+// lanes (ld = 144).  The lane-tile predictor and volume stages read star
+// groups packed from real star matrices (kernels/star_operand.hpp), so
+// they skip the structural zeros as in production; their FLOPs are the
+// dense count, the solver's accounting.  It reports GFLOP/s and
+// flop/cycle per core, so a variant that silently stopped vectorising
+// shows up as a ratio near 1 against `scalar`.  Written to
+// node_performance_stages.csv.
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +35,7 @@
 #include "kernels/batch_layout.hpp"
 #include "kernels/element_kernels.hpp"
 #include "kernels/reference_matrices.hpp"
+#include "kernels/star_operand.hpp"
 #include "perf/model_validation.hpp"
 #include "perfmodel/machine.hpp"
 #include "physics/jacobians.hpp"
@@ -154,13 +159,18 @@ void printNumaModel() {
   t.writeCsv("node_performance_model.csv");
 }
 
-// Operands of one megathrust tile: degree 2, a full batch of lanes.
+// Operands of one megathrust tile: degree 2, a full batch of lanes.  The
+// lane-tile stages run on whole star groups (the auto batch size is a
+// multiple of 8 at degree 2).
 struct StageTile {
   const ReferenceMatrices& rm = referenceMatrices(2);
   int width = autoBatchSize(rm.nb, rm.degree);
+  int groups = (width + kStarGroupLanes - 1) / kStarGroupLanes;
   int ld = kNumQuantities * width;
-  std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
-  std::vector<real> stack, tInt, dofs, scratch, faceScratch, starTB, flux,
+  std::size_t tileSize =
+      static_cast<std::size_t>(rm.nb) * kNumQuantities * kStarGroupLanes *
+      groups;
+  std::vector<real> stack, tInt, dofs, scratch, faceScratch, star, flux,
       laneScratch;
   std::vector<const real*> fluxPtrs;
   std::vector<NeighborFluxLane> lanes;
@@ -179,9 +189,29 @@ struct StageTile {
     fill(dofs, tileSize, 1);
     fill(scratch, tileSize, 1);
     fill(faceScratch, tileSize, 1);
-    fill(starTB, static_cast<std::size_t>(width) * 3 * 81, 1e-1);
     fill(flux, static_cast<std::size_t>(width) * 81, 1e-1);
     fill(laneScratch, static_cast<std::size_t>(rm.nb) * kNumQuantities, 1);
+    // Star matrices of an elastic element with random gradients, scaled
+    // like the flux operands.
+    const Material m = Material::fromVelocities(2700, 6000, 3464);
+    star.assign(static_cast<std::size_t>(groups) * kStarGroupSize, 0.0);
+    for (int lane = 0; lane < width; ++lane) {
+      real starT[3 * 81];
+      for (int c = 0; c < 3; ++c) {
+        const Vec3 grad = {uni(rng), uni(rng), uni(rng)};
+        const Matrix a = starMatrix(m, grad);
+        for (int i = 0; i < 9; ++i) {
+          for (int j = 0; j < 9; ++j) {
+            starT[c * 81 + i * 9 + j] = a(j, i) * 1e-11;
+          }
+        }
+      }
+      packStarLane(starT,
+                   star.data() + static_cast<std::size_t>(lane /
+                                                          kStarGroupLanes) *
+                                     kStarGroupSize,
+                   lane % kStarGroupLanes);
+    }
     const Matrix& fluxNeighbor = rm.fluxNeighbor[0][1][0];
     for (int lane = 0; lane < width; ++lane) {
       const real* f = flux.data() + static_cast<std::size_t>(lane) * 81;
@@ -244,13 +274,13 @@ void printStageKernels() {
       k.gemmAccStrided(nb, cols, nb, t.rm.dXi[0].data(), nb, t.tInt.data(),
                        t.ld, t.dofs.data(), t.ld);
     }});
-    probes.push_back({k.isa, "predictor", nb, cols, nb, [&t, &k] {
-      k.aderPredictor(t.rm, t.starTB.data(), t.stack.data(),
-                      t.scratch.data(), t.width, t.ld);
+    probes.push_back({k.isa, "lane_predictor", nb, cols, nb, [&t, &k] {
+      k.lanePredictor(t.rm, t.star.data(), t.stack.data(), t.scratch.data(),
+                      t.groups, t.width);
     }});
-    probes.push_back({k.isa, "volume", nb, cols, nb, [&t, &k] {
-      k.volumeKernel(t.rm, t.starTB.data(), t.tInt.data(), t.dofs.data(),
-                     t.scratch.data(), t.width, t.ld);
+    probes.push_back({k.isa, "lane_volume", nb, cols, nb, [&t, &k] {
+      k.laneVolume(t.rm, t.star.data(), t.tInt.data(), t.dofs.data(),
+                   t.scratch.data(), t.groups, t.width);
     }});
     probes.push_back({k.isa, "local_flux", nb, q, q, [&t, &k, nb] {
       k.localFluxStage(nb, t.width, t.ld, t.tInt.data(), t.fluxPtrs.data(),

@@ -1,33 +1,12 @@
 #include "gravity/boundary_ode.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "basis/quadrature.hpp"
 
 namespace tsg {
 
 namespace {
-
-/// Gragg's modified midpoint rule with n substeps over [0, dt].
-std::array<real, 2> modifiedMidpoint(const Ode2Rhs& rhs,
-                                     const std::array<real, 2>& y0, real dt,
-                                     int n) {
-  const real h = dt / n;
-  std::array<real, 2> zPrev = y0;
-  std::array<real, 2> f = rhs(0.0, y0);
-  std::array<real, 2> z = {y0[0] + h * f[0], y0[1] + h * f[1]};
-  for (int m = 1; m < n; ++m) {
-    f = rhs(m * h, z);
-    const std::array<real, 2> zNext = {zPrev[0] + 2 * h * f[0],
-                                       zPrev[1] + 2 * h * f[1]};
-    zPrev = z;
-    z = zNext;
-  }
-  f = rhs(dt, z);
-  return {0.5 * (z[0] + zPrev[0] + h * f[0]),
-          0.5 * (z[1] + zPrev[1] + h * f[1])};
-}
 
 /// phi_j(z) = sum_{i>=0} z^i / (i+j)!  (entire; series converges rapidly
 /// for the tiny |z| = g*dt/c_p of ocean free surfaces).
@@ -49,29 +28,6 @@ real phiFunction(int j, real z) {
 }
 
 }  // namespace
-
-std::array<real, 2> integrateBoundaryOde(const Ode2Rhs& rhs,
-                                         const std::array<real, 2>& y0, real dt,
-                                         int levels) {
-  // Midpoint sequences n_j = 2, 4, 6, ... and Aitken-Neville extrapolation
-  // in h^2 towards h = 0 (order 2*levels).
-  std::vector<std::array<real, 2>> table(levels);
-  std::vector<real> h2(levels);
-  for (int j = 0; j < levels; ++j) {
-    const int n = 2 * (j + 1);
-    table[j] = modifiedMidpoint(rhs, y0, dt, n);
-    h2[j] = (dt / n) * (dt / n);
-    for (int k = j - 1; k >= 0; --k) {
-      // Neville at x = 0 over the nodes {h2[k], ..., h2[j]}:
-      // P_{k..j}(0) = P_{k+1..j} + (P_{k+1..j} - P_{k..j-1}) h2[j]/(h2[k]-h2[j]).
-      const real factor = h2[j] / (h2[k] - h2[j]);
-      for (int c = 0; c < 2; ++c) {
-        table[k][c] = table[k + 1][c] + factor * (table[k + 1][c] - table[k][c]);
-      }
-    }
-  }
-  return table[0];
-}
 
 std::array<real, 2> exactLinearBoundaryOde(const real* taylorCoeffs, int degree,
                                            real b, real eta0, real dt) {

@@ -1,10 +1,20 @@
 #include "kernels/backends/batched_backend.hpp"
 
-#include <cstring>
-
 #include "kernels/element_kernels.hpp"
+#include "kernels/star_operand.hpp"
 
 namespace tsg {
+
+namespace {
+
+/// Lanes of the widest lane-minor tile a batch of up to `batchSize`
+/// elements can span: it may start at any lane of a star group.
+int maxTileLanes(int batchSize) {
+  return kStarGroupLanes *
+         ((batchSize + 2 * (kStarGroupLanes - 1)) / kStarGroupLanes);
+}
+
+}  // namespace
 
 BatchedBackend::BatchedBackend(SolverState& state, const char* name)
     : KernelBackend(state),
@@ -13,7 +23,8 @@ BatchedBackend::BatchedBackend(SolverState& state, const char* name)
       layout_(*state.clusters, state.rm->nb, state.cfg->degree,
               state.cfg->batchSize),
       tileScratchSize_(static_cast<std::size_t>(state.cfg->degree + 3) *
-                       state.rm->nb * kNumQuantities * layout_.batchSize()) {}
+                       state.rm->nb * kNumQuantities *
+                       maxTileLanes(layout_.batchSize())) {}
 
 void BatchedBackend::runPredictorTile(int cluster, std::size_t tile,
                                       bool resetBuffer) {
@@ -30,43 +41,53 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
   const ClusterLayout& clusters = *s_.clusters;
   const SimulationAssets& a = *s_.assets;
   const int width = batch.width;
-  const int ld = kNumQuantities * layout_.batchSize();
   const int* elems = a.kernelOrder.data() + batch.begin;
-  const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
+  // A lane-minor tile over the batch's star groups; the batch owns the
+  // lanes [first, first + width) of it.
+  const SimulationAssets::StarSpan span = a.starSpan(batch.begin, width);
+  const int first = span.firstLane;
+  const int lanes = kStarGroupLanes * span.groups;
+  const std::size_t tileSize =
+      static_cast<std::size_t>(rm.nb) * kNumQuantities * lanes;
   real* stackTiles = backendThreadScratch(1, tileScratchSize_);
   real* scratchTile = stackTiles + (s_.cfg->degree + 1) * tileSize;
   real* tIntTile = scratchTile + tileSize;
-  const real* starTB =
-      a.starT.data() + static_cast<std::size_t>(batch.begin) * 3 *
-                           kNumQuantities * kNumQuantities;
+  const real* star =
+      a.star.data() + static_cast<std::size_t>(span.firstGroup) * kStarGroupSize;
 
-  gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, stackTiles);
-  k_->aderPredictor(rm, starTB, stackTiles, scratchTile, width, ld);
+  gatherLaneTile(s_.dofs.data(), elems, width, s_.nbq, s_.nbq, first, lanes,
+                 stackTiles);
+  k_->lanePredictor(rm, star, stackTiles, scratchTile, span.groups, width);
   const real dt =
       clusters.dtMin * static_cast<real>(clusters.spanOf(batch.cluster));
-  k_->taylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
+  k_->taylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, lanes,
+                      kNumQuantities * lanes, width);
 
-  // Scatter the time integral for every lane, but the derivative stack
-  // only for elements whose stack is read outside this batch (gravity and
+  // Copy out the time integral of every lane, but the derivative stack only
+  // for elements whose stack is read outside this batch (gravity and
   // rupture faces, coarser LTS neighbours) -- for all other elements the
   // stack lives and dies in the tiles.
+  const std::size_t stackStride =
+      static_cast<std::size_t>(s_.nbq) * (s_.cfg->degree + 1);
   for (int lane = 0; lane < width; ++lane) {
-    const int e = elems[lane];
-    if (!a.stackNeeded[e]) {
+    if (!a.stackNeeded[elems[lane]]) {
       continue;
     }
     for (int k = 0; k <= s_.cfg->degree; ++k) {
-      const real* tile = stackTiles + static_cast<std::size_t>(k) * tileSize +
-                         static_cast<std::size_t>(lane) * kNumQuantities;
-      real* dst = s_.stackOf(e) + static_cast<std::size_t>(k) * s_.nbq;
-      for (int l = 0; l < rm.nb; ++l) {
-        std::memcpy(dst + static_cast<std::size_t>(l) * kNumQuantities,
-                    tile + static_cast<std::size_t>(l) * ld,
-                    sizeof(real) * kNumQuantities);
-      }
+      scatterLaneTile(stackTiles + static_cast<std::size_t>(k) * tileSize,
+                      elems + lane, 1, s_.nbq, stackStride, first + lane,
+                      lanes, s_.stack.data() + static_cast<std::size_t>(k) *
+                                                   s_.nbq);
     }
   }
-  scatterTile(tIntTile, elems, width, rm.nb, s_.nbq, ld, s_.tInt.data());
+  scatterLaneTile(tIntTile, elems, width, s_.nbq, s_.nbq, first, lanes,
+                  s_.tInt.data());
+
+  // The volume term, added into stack level 0 (the DOFs) in place.
+  k_->laneVolume(rm, star, tIntTile, stackTiles, scratchTile, span.groups,
+                 width);
+  scatterLaneTile(stackTiles, elems, width, s_.nbq, s_.nbq, first, lanes,
+                  s_.dofs.data());
 
   for (int lane = 0; lane < width; ++lane) {
     const int e = elems[lane];
@@ -119,19 +140,12 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, dofTile);
   gatherTile(s_.tInt.data(), elems, width, rm.nb, s_.nbq, ld, tIntTile);
 
-  const real* starTB =
-      a.starT.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
-  k_->volumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
-
   for (int f = 0; f < 4; ++f) {
     // (a) Per-lane pre-pass: stage the flux-solver products of regular /
-    // folded-boundary faces into the face scratch tile; apply pointwise
+    // folded-boundary faces into the face scratch tile (the stage
+    // overwrites their columns, which (b) alone reads); apply pointwise
     // gravity and rupture fluxes directly (their slot in each element's
     // accumulation sequence is exactly here, matching the reference).
-    for (int l = 0; l < rm.nb; ++l) {
-      std::memset(faceScratch + static_cast<std::size_t>(l) * ld, 0,
-                  sizeof(real) * kNumQuantities * width);
-    }
     for (int lane = 0; lane < width; ++lane) {
       const FaceRecord& info = faces[lane * 4 + f];
       real* laneDofs =

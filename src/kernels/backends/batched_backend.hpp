@@ -9,8 +9,15 @@
 // (pinned by the BatchedKernels tests); the fast backend is this
 // pipeline plus FTZ|DAZ (fast_backend.hpp).
 //
+// The predictor phase is the local integration of a batch, on a
+// lane-minor tile (batch_layout.hpp): gather the DOFs, run the ADER
+// predictor and the Taylor integral, copy out the stacks other elements
+// read and the time integrals, then add the volume term into the DOFs and
+// scatter them.  The corrector gathers element-major tiles of the DOFs and
+// time integrals and runs the surface stages.
+//
 // The static operands are stored in kernel order (SimulationAssets), so
-// every batch reads its star matrices, flux matrices and face records as
+// every batch reads its star groups, flux matrices and face records as
 // one contiguous run of the shared asset arrays.  This backend holds only
 // its batch list, built at construction.
 
@@ -65,7 +72,8 @@ class BatchedBackend : public KernelBackend {
   const StageKernels* k_;
   const char* name_;
   ClusterBatchLayout layout_;
-  // Tile scratch per thread: (degree+3) tiles of nb*9*batchSize reals.
+  // Tile scratch per thread: (degree+3) tiles of nb*9*lanes reals, lanes
+  // those of the widest lane-minor tile (at least batchSize).
   std::size_t tileScratchSize_;
 };
 

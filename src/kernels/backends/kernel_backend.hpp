@@ -47,14 +47,24 @@ class KernelBackend {
   virtual void appendTileElements(int cluster, std::size_t tile,
                                   std::vector<int>& out) const = 0;
 
-  /// Predictor stage for one tile of cluster c: derivative stacks, time
-  /// integrals, and LTS buffer accumulation (`resetBuffer` restarts the
-  /// coarser neighbour's accumulation window).
+  /// Predictor stage for one tile of cluster c, the local integration:
+  /// derivative stacks, time integrals, the volume term added into the
+  /// DOFs, and LTS buffer accumulation (`resetBuffer` restarts the coarser
+  /// neighbour's accumulation window).
+  ///
+  /// The volume term may run here rather than at the start of the
+  /// corrector because nothing reads an element's DOFs between its
+  /// predictor and its corrector: neighbours, gravity and rupture faces
+  /// and the LTS buffers read the stack and the time integral, receivers
+  /// sample at the corrector's end, and every other reader of the DOFs
+  /// (health, energy, checkpoints, VTK, point evaluation) runs between
+  /// macro cycles, which Simulation::advanceTo only runs whole.  So the
+  /// DOFs see the same additions in the same order either way.
   virtual void runPredictorTile(int cluster, std::size_t tile,
                                 bool resetBuffer) = 0;
 
-  /// Corrector stage for one tile of cluster c ending at `tick`: volume +
-  /// surface stages, seafloor recording, receiver sampling.
+  /// Corrector stage for one tile of cluster c ending at `tick`: surface
+  /// stages, seafloor recording, receiver sampling.
   virtual void runCorrectorTile(int cluster, std::size_t tile,
                                 std::int64_t tick) = 0;
 

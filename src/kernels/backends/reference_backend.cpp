@@ -22,12 +22,13 @@ void ReferenceBackend::predictor(int elem) {
   const int c = s_.clusters->cluster[elem];
   const real dt = s_.clusters->dtMin * static_cast<real>(s_.clusters->spanOf(c));
   real* scratch = backendThreadScratch(0, s_.scratchSize);
-  const SimulationAssets& a = *s_.assets;
-  const std::size_t pos = static_cast<std::size_t>(a.positionOf[elem]);
-  aderPredictor(*s_.rm,
-                a.starT.data() + pos * 3 * kNumQuantities * kNumQuantities,
-                s_.dofsOf(elem), s_.stackOf(elem), scratch);
+  real starT[3 * kNumQuantities * kNumQuantities];
+  s_.assets->expandStarT(elem, starT);
+  aderPredictor(*s_.rm, starT, s_.dofsOf(elem), s_.stackOf(elem), scratch);
   taylorIntegrate(*s_.rm, s_.stackOf(elem), 0.0, dt, s_.tIntOf(elem));
+  // Local integration ends with the volume term, on every backend (see
+  // KernelBackend::runPredictorTile).
+  volumeKernel(*s_.rm, starT, s_.tIntOf(elem), s_.dofsOf(elem), scratch);
 }
 
 void ReferenceBackend::corrector(int elem, std::int64_t tick) {
@@ -46,8 +47,6 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
   const SimulationAssets& a = *s_.assets;
   const std::size_t pos = static_cast<std::size_t>(a.positionOf[elem]);
   real* q = s_.dofsOf(elem);
-  volumeKernel(rm, a.starT.data() + pos * 3 * kNumQuantities * kNumQuantities,
-               s_.tIntOf(elem), q, scratch);
 
   const int stride = kNumQuantities * kNumQuantities;
   for (int f = 0; f < 4; ++f) {

@@ -1,27 +1,37 @@
 #pragma once
 
 // The table of tile-level stage kernels the batched tile pipeline
-// (batched_backend.cpp) calls into, over interleaved cluster-contiguous
-// tiles (see kernels/batch_layout.hpp for the layout).  There is one
-// implementation, kernels/backends/fast_stage_impl.inc, compiled once per
-// ISA (fast_stage_*.cpp) and selected at runtime by isa_dispatch.  The
+// (batched_backend.cpp) calls into.  There is one implementation,
+// kernels/backends/fast_stage_impl.inc, compiled once per ISA
+// (fast_stage_*.cpp) and selected at runtime by isa_dispatch.  The
 // `batched` backend runs the dispatched table as is; the `fast` backend
 // runs the same table with subnormals flushed (FTZ|DAZ).
 //
+// The kernels work on the two tile layouts of kernels/batch_layout.hpp:
+//  * local integration -- lanePredictor, taylorIntegrate, laneVolume --
+//    on lane-minor tiles, tile[(l*9 + q)*lanes + lane], whose lanes are
+//    whole star groups (kernels/star_operand.hpp).  `star` points at the
+//    tile's first group of SimulationAssets::star; `groups` groups of
+//    kStarGroupLanes lanes make up the tile (ld = 9 * 8 * groups), and
+//    `live` of those lanes hold elements (the rest hold zeros).  Only the
+//    live lanes count towards the FLOP total.
+//  * the corrector's flux stages on element-major tiles,
+//    tile[l*ld + 9*lane + q], one column block per element.
+//
 // Every kernel performs, per element, exactly the floating-point
 // operations of its per-element counterpart in element_kernels.hpp, in
-// the same order: a fused n = 9*width GEMM accumulates each output value
-// over the k index in ascending order no matter how the n loop is
-// blocked or vectorised.  Without FTZ the results are bitwise-identical
-// to the reference path (the BatchedKernels tests).
+// the same order, except that the star products skip the structural zeros
+// of the star matrices (an exact no-op, see star_operand.hpp): a fused
+// n = 9*width GEMM accumulates each output value over the k index in
+// ascending order no matter how the n loop is blocked or vectorised.
+// Without FTZ the results are bitwise-identical to the reference path
+// (the BatchedKernels tests).
 //
-// Batch-ordered side arrays ("B" suffix): starTB holds, lane-major, the
-// 3 transposed star matrices of each lane (lane*3*81 + c*81), as the
-// kernel-ordered asset arrays do.  Where the reference path negates a
-// product before accumulating it (the predictor's star products, the flux
-// solver products), the stage subtracts the product instead: for finite
-// values x - a*b equals x + a*(-b) bit for bit, so the operands are the
-// asset matrices themselves.
+// Where the reference path negates a product before accumulating it (the
+// predictor's star products, the flux solver products), the stage
+// subtracts the product instead: for finite values x - a*b equals
+// x + a*(-b) bit for bit, so the operands are the asset matrices
+// themselves.
 
 #include "common/types.hpp"
 #include "kernels/reference_matrices.hpp"
@@ -40,24 +50,27 @@ struct NeighborFluxLane {
 struct StageKernels {
   const char* isa;  // "scalar" | "sse2" | "avx2" | "avx512"
 
-  /// ADER predictor: stackTiles holds degree+1 consecutive tiles of nb*ld
-  /// reals each; level 0 must contain the gathered DOFs.  Fills levels
-  /// 1..degree.  `scratchTile` is one tile of nb*ld reals.  Each level
-  /// subtracts the star products: next -= (dXi[c] * cur) * starTB[c].
-  void (*aderPredictor)(const ReferenceMatrices& rm, const real* starTB,
-                        real* stackTiles, real* scratchTile, int width,
-                        int ld);
-  /// outTile = int_a^b Taylor(stackTiles) dt.
+  /// ADER predictor on a lane-minor tile: stackTiles holds degree+1
+  /// consecutive tiles of nb*ld reals each; level 0 must contain the
+  /// gathered DOFs.  Fills levels 1..degree.  `scratchTile` is one tile.
+  /// Each level subtracts the star products:
+  /// next -= (dXi[c] * cur) * starT[c].
+  void (*lanePredictor)(const ReferenceMatrices& rm, const real* star,
+                        real* stackTiles, real* scratchTile, int groups,
+                        int live);
+  /// outTile = int_a^b Taylor(stackTiles) dt over rows of 9*width columns
+  /// (leading dimension ld); counts the FLOPs of `live` lanes.
   void (*taylorIntegrate)(const ReferenceMatrices& rm, const real* stackTiles,
-                          real a, real b, real* outTile, int width, int ld);
-  /// dofTile += sum_c kXi[c] * tIntTile * starT[c] (one nb x nb GEMM per
-  /// direction for the whole batch).
-  void (*volumeKernel)(const ReferenceMatrices& rm, const real* starTB,
-                       const real* tIntTile, real* dofTile, real* scratchTile,
-                       int width, int ld);
-  /// faceScratch[lane] -= tIntTile[lane] * fluxT[lane] for every lane
-  /// with a non-null matrix pointer (null lanes -- gravity, rupture,
-  /// unfolded boundaries -- are skipped).
+                          real a, real b, real* outTile, int width, int ld,
+                          int live);
+  /// Volume term on a lane-minor tile:
+  /// dofTile += sum_c kXi[c] * (tIntTile * starT[c]).
+  void (*laneVolume)(const ReferenceMatrices& rm, const real* star,
+                     const real* tIntTile, real* dofTile, real* scratchTile,
+                     int groups, int live);
+  /// faceScratch[lane] = 0 - tIntTile[lane] * fluxT[lane] for every lane
+  /// with a non-null matrix pointer; null lanes (gravity, rupture,
+  /// unfolded boundaries) are skipped and their columns left unwritten.
   void (*localFluxStage)(int nb, int width, int ld, const real* tIntTile,
                          const real* const* fluxT, real* faceScratch);
   /// Every lane of `lanes` (see NeighborFluxLane); `scratch` holds nb x 9.

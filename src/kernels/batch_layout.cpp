@@ -72,4 +72,33 @@ void scatterTile(const real* tile, const int* elems, int width, int nb,
   }
 }
 
+void gatherLaneTile(const real* src, const int* elems, int width, int nbq,
+                    std::size_t elemStride, int firstLane, int lanes,
+                    real* tile) {
+  for (int r = 0; r < nbq; ++r) {
+    real* row = tile + static_cast<std::size_t>(r) * lanes;
+    std::fill(row, row + firstLane, 0.0);
+    std::fill(row + firstLane + width, row + lanes, 0.0);
+  }
+  for (int i = 0; i < width; ++i) {
+    const real* s = src + static_cast<std::size_t>(elems[i]) * elemStride;
+    real* t = tile + firstLane + i;
+    for (int r = 0; r < nbq; ++r) {
+      t[static_cast<std::size_t>(r) * lanes] = s[r];
+    }
+  }
+}
+
+void scatterLaneTile(const real* tile, const int* elems, int width, int nbq,
+                     std::size_t elemStride, int firstLane, int lanes,
+                     real* dst) {
+  for (int i = 0; i < width; ++i) {
+    const real* t = tile + firstLane + i;
+    real* d = dst + static_cast<std::size_t>(elems[i]) * elemStride;
+    for (int r = 0; r < nbq; ++r) {
+      d[r] = t[static_cast<std::size_t>(r) * lanes];
+    }
+  }
+}
+
 }  // namespace tsg

@@ -5,21 +5,27 @@
 // into blocked GEMMs is what makes the node-level performance).
 //
 // Elements of one LTS cluster are partitioned into batches of up to
-// `batchSize` elements.  Within a batch, modal data lives in an
-// interleaved tile
+// `batchSize` elements.  A batch's modal data lives in one of two tile
+// layouts, both a row-major [nb x 9*lanes] matrix, so a reference-matrix
+// product  M (nb x nb) * Q_e (nb x 9)  for every element of the batch is
+// ONE GEMM  M * tile  with n = 9*lanes instead of n = 9, and M stays hot
+// in L1 across the whole batch:
 //
-//     tile[l * ld + 9*e + p],   l < nb,  e < width,  p < 9,
+//  * element-major (the corrector):   tile[l*ld + 9*e + q],
+//    whose column blocks are the elements.  The corrector multiplies
+//    every lane by its own 9 x 9 flux matrices, which are dense, so a
+//    lane's 9 contiguous columns suit it best.
+//  * lane-minor (local integration: predictor, Taylor integral, volume
+//    term):   tile[(l*9 + q)*lanes + lane],
+//    whose lanes are whole groups of the compressed star operand
+//    (kernels/star_operand.hpp).  A star product then runs over the 24
+//    structural nonzeros only, each one vector multiply across the lanes
+//    of a group.  A batch that starts inside a star group leaves the
+//    group's other lanes zero.
 //
-// i.e. a row-major [nb x 9*width] matrix whose column blocks are the
-// elements.  A reference-matrix product  M (nb x nb) * Q_e (nb x 9)  for
-// every element of the batch then becomes ONE GEMM
-// M (nb x nb) * tile (nb x 9*width), which turns the tiny n = 9 inner
-// dimension of the per-element path into n = 9*width and keeps M hot in
-// L1 across the whole batch.
-//
-// Crucially the tile transformation is pure data movement: each output
-// value of a row-major GEMM is a sum over the k index in increasing
-// order regardless of n-blocking, so the batched pipeline produces
+// Crucially both transformations are pure data movement: each output
+// value of a row-major GEMM is a sum over the k index in increasing order
+// regardless of n-blocking, so the batched pipeline produces
 // BITWISE-identical results to the per-element reference path.
 
 #include <vector>
@@ -73,5 +79,17 @@ void gatherTile(const real* src, const int* elems, int width, int nb,
 /// Inverse of gatherTile (bitwise round-trip).
 void scatterTile(const real* tile, const int* elems, int width, int nb,
                  std::size_t elemStride, int ld, real* dst);
+
+/// Gather per-element blocks of nbq reals into a lane-minor tile of
+/// `lanes` lanes: tile[r*lanes + firstLane + i] = src(elems[i])[r] for
+/// i < width; every other lane of the tile is set to +0.
+void gatherLaneTile(const real* src, const int* elems, int width, int nbq,
+                    std::size_t elemStride, int firstLane, int lanes,
+                    real* tile);
+
+/// Inverse of gatherLaneTile for the lanes [firstLane, firstLane + width).
+void scatterLaneTile(const real* tile, const int* elems, int width, int nbq,
+                     std::size_t elemStride, int firstLane, int lanes,
+                     real* dst);
 
 }  // namespace tsg

@@ -38,7 +38,8 @@ void taylorIntegrate(const ReferenceMatrices& rm, const real* stack, real a,
 void taylorEvaluate(const ReferenceMatrices& rm, const real* stack, real tau,
                     real* out);
 
-/// dofs += sum_c kXi[c] * tInt * starT[c]  (volume corrector term).
+/// dofs += sum_c kXi[c] * tInt * starT[c]  (the volume term, which ends
+/// the local integration after the predictor).
 /// `scratch` must hold nb*9 reals.
 void volumeKernel(const ReferenceMatrices& rm, const real* starT,
                   const real* tInt, real* dofs, real* scratch);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/omp_sync.hpp"
+#include "kernels/star_operand.hpp"
 #include "perfmodel/pinning.hpp"
 #include "telemetry/metrics_registry.hpp"
 
@@ -162,18 +163,20 @@ void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
 // Analytic main-memory traffic models (streamed arrays only; reference
 // matrices and flux solvers are shared and presumed cache-resident).
 std::uint64_t ClusterScheduler::predictorBytesPerElement() const {
-  // Read dofs + starT, write derivative stack + time integral (+ buffer).
+  // Local integration: read dofs + the compressed star matrices (3 x 24
+  // nonzeros, read once for the predictor and the volume term), write the
+  // derivative stack + time integral (+ buffer) and the updated dofs.
   const std::uint64_t nbq = static_cast<std::uint64_t>(s_.nbq);
   return sizeof(real) *
-         (nbq + 3ull * kNumQuantities * kNumQuantities +
-          nbq * (s_.cfg->degree + 1) + 2ull * nbq);
+         (nbq + 3ull * kStarNonzeros + nbq * (s_.cfg->degree + 1) +
+          2ull * nbq + nbq);
 }
 
 std::uint64_t ClusterScheduler::correctorBytesPerElement() const {
-  // Read tInt + starT + 8 flux solvers + 4 neighbour sources; r/w dofs.
+  // Read tInt + 8 flux solvers + 4 neighbour sources; r/w dofs.
   const std::uint64_t nbq = static_cast<std::uint64_t>(s_.nbq);
   return sizeof(real) *
-         (nbq + 11ull * kNumQuantities * kNumQuantities + 4ull * nbq +
+         (nbq + 8ull * kNumQuantities * kNumQuantities + 4ull * nbq +
           2ull * nbq);
 }
 

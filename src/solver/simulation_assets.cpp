@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <stdexcept>
 #include <type_traits>
@@ -10,6 +11,7 @@
 #include "common/omp_sync.hpp"
 #include "geometry/reference_tet.hpp"
 #include "kernels/element_kernels.hpp"
+#include "kernels/star_operand.hpp"
 #include "physics/jacobians.hpp"
 #include "physics/riemann.hpp"
 
@@ -104,6 +106,16 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   for (int i = 0; i < n; ++i) {
     positionOf[kernelOrder[i]] = i;
   }
+  // Each cluster's positions, and its star groups (padded to whole groups).
+  clusterBegin.assign(clusters.numClusters + 1, 0);
+  starGroupBegin.assign(clusters.numClusters + 1, 0);
+  for (int c = 0; c < clusters.numClusters; ++c) {
+    const int size = static_cast<int>(clusters.elementsOfCluster[c].size());
+    clusterBegin[c + 1] = clusterBegin[c] + size;
+    starGroupBegin[c + 1] =
+        starGroupBegin[c] + (size + kStarGroupLanes - 1) / kStarGroupLanes;
+  }
+  const int numStarGroups = starGroupBegin[clusters.numClusters];
   // Slot of face f of mesh element e in the [pos*4 + f] arrays.
   auto slotOf = [&](int e, int f) {
     return static_cast<std::size_t>(positionOf[e]) * 4 + f;
@@ -198,7 +210,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
 
   // ---- fill pass (the calling thread's OpenMP team, over kernel order;
   // every entry depends only on its own element, so the bits do not
-  // depend on the team size): star matrices, rotated and scaled flux
+  // depend on the team size): star groups, rotated and scaled flux
   // matrices, face scales, LTS neighbour flags ---------------------------
   constexpr int kQ = kNumQuantities;
   constexpr int stride = kQ * kQ;
@@ -207,7 +219,10 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   for (const Material& m : materialTable) {
     jacobiansOfMaterial.push_back(materialJacobians(m));
   }
-  starT.resize(static_cast<std::size_t>(n) * 3 * stride);
+  star.resize(static_cast<std::size_t>(numStarGroups) * kStarGroupSize);
+  // An exception must not leave an OpenMP region: a group whose packing
+  // fails records it here, and the first is rethrown after the region.
+  std::vector<std::exception_ptr> starErrors(numStarGroups);
   fluxMinusT.resize(nf * stride);
   fluxPlusT.resize(nf * stride);
   hasCoarserNeighbor.assign(n, 0);
@@ -232,24 +247,43 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
 #pragma omp parallel
   {
     tsanAcquire();
+#pragma omp for schedule(static) nowait
+    for (int g = 0; g < numStarGroups; ++g) {
+      const int c = static_cast<int>(std::upper_bound(starGroupBegin.begin(),
+                                                      starGroupBegin.end(),
+                                                      g) -
+                                     starGroupBegin.begin()) -
+                    1;
+      const int first =
+          clusterBegin[c] + (g - starGroupBegin[c]) * kStarGroupLanes;
+      const int live = std::min(kStarGroupLanes, clusterBegin[c + 1] - first);
+      real* group = star.data() + static_cast<std::size_t>(g) * kStarGroupSize;
+      std::fill(group, group + kStarGroupSize, 0.0);
+      try {
+        for (int lane = 0; lane < live; ++lane) {
+          const int e = kernelOrder[first + lane];
+          const auto grad = gradXi(mesh, e);
+          const MaterialJacobians& jac =
+              jacobiansOfMaterial[mesh.elements[e].material];
+          real starT[3 * stride];
+          for (int d = 0; d < 3; ++d) {
+            Mat9 m;
+            starMatrix(jac, grad[d], m);
+            for (int i = 0; i < kQ; ++i) {
+              for (int j = 0; j < kQ; ++j) {
+                starT[d * stride + i * kQ + j] = m[j * kQ + i];  // transposed
+              }
+            }
+          }
+          packStarLane(starT, group, lane);
+        }
+      } catch (...) {
+        starErrors[g] = std::current_exception();
+      }
+    }
 #pragma omp for schedule(static)
     for (int pos = 0; pos < n; ++pos) {
       const int e = kernelOrder[pos];
-      const auto g = gradXi(mesh, e);
-      const MaterialJacobians& jac =
-          jacobiansOfMaterial[mesh.elements[e].material];
-      for (int c = 0; c < 3; ++c) {
-        Mat9 star;
-        starMatrix(jac, g[c], star);
-        real* dst =
-            starT.data() + (static_cast<std::size_t>(pos) * 3 + c) * stride;
-        for (int i = 0; i < kQ; ++i) {
-          for (int j = 0; j < kQ; ++j) {
-            dst[i * kQ + j] = star[j * kQ + i];  // transposed
-          }
-        }
-      }
-
       const real volJ = 6.0 * mesh.volume(e);
       for (int f = 0; f < 4; ++f) {
         const std::size_t idx = static_cast<std::size_t>(pos) * 4 + f;
@@ -272,6 +306,11 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     tsanRelease();
   }
   tsanAcquire();
+  for (const std::exception_ptr& err : starErrors) {
+    if (err) {
+      std::rethrow_exception(err);
+    }
+  }
 
   // Seafloor recorder geometry: elastic side of every elastic-acoustic
   // face, in the same (e, f) discovery order as the uplift accumulators.
@@ -316,6 +355,25 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   spatialIndex = std::make_unique<SpatialIndex>(mesh);
 
   assetHash = computeAssetHash(mesh, materialTable, cfg);
+}
+
+SimulationAssets::StarSpan SimulationAssets::starSpan(int pos,
+                                                     int width) const {
+  const int c = clusters.cluster[kernelOrder[pos]];
+  const int local = pos - clusterBegin[c];
+  StarSpan span;
+  span.firstGroup = starGroupBegin[c] + local / kStarGroupLanes;
+  span.firstLane = local % kStarGroupLanes;
+  span.groups = (span.firstLane + width + kStarGroupLanes - 1) /
+                kStarGroupLanes;
+  return span;
+}
+
+void SimulationAssets::expandStarT(int elem, real* starT) const {
+  const StarSpan span = starSpan(positionOf[elem], 1);
+  expandStarLane(
+      star.data() + static_cast<std::size_t>(span.firstGroup) * kStarGroupSize,
+      span.firstLane, starT);
 }
 
 }  // namespace tsg

@@ -8,10 +8,10 @@
 //
 //  * geometry: the mesh, per-element materials, the point-location index;
 //  * discretisation: basis reference matrices, the LTS ClusterLayout;
-//  * static kernel operands: transposed star matrices, precomputed
-//    per-face Godunov flux matrices and one FaceRecord per face (kind /
-//    neighbour / aux index / scale / seafloor recorder index), stored in
-//    kernel order (below);
+//  * static kernel operands: the star matrices, precomputed per-face
+//    Godunov flux matrices and one FaceRecord per face (kind / neighbour /
+//    aux index / scale / seafloor recorder index), stored in kernel order
+//    (below);
 //  * boundary-face topology: gravity-surface faces, dynamic-rupture face
 //    pairs (with their aux indices pre-assigned in the canonical order),
 //    per-cluster fault-face id lists, seafloor recorder geometry.
@@ -21,6 +21,17 @@
 // of it, so the batched and fast backends read the operands in place; the
 // reference backend reaches them through positionOf.  The operands exist
 // once, and no backend keeps a copy.
+//
+// Star storage.  The three transposed star matrices of an element are
+// stored compressed to their 24 structural nonzeros and interleaved over
+// groups of kStarGroupLanes = 8 consecutive kernel-order positions of one
+// cluster: star[(group*3 + c)*24*8 + k*8 + lane] (kernels/star_operand.hpp).
+// Each cluster is padded to whole groups with zero lanes, so the layout
+// depends on neither the batch size nor the vector ISA; the lane-minor
+// tiles of the local-integration kernels read a batch's groups in place.
+// That is 4.5 KiB per group against 15.2 KiB for 8 dense 3 x 81 copies
+// (megathrust, 7020 elements: about 4 MB instead of 13.6 MB).  The
+// reference backend and the tests expand one element with expandStarT().
 //
 // Everything per-run -- DOFs, eta, friction state, uplift accumulators,
 // receivers, the clock -- stays in Simulation/SolverState.  The ensemble
@@ -43,10 +54,11 @@
 // (face kinds, aux indices, the per-pair operands) and a fill pass over
 // the calling thread's OpenMP team (star and flux operands, face scales),
 // whose results do not depend on the thread count.  The fill pass walks
-// kernel order, so it is also the first touch of the ~7 KiB per element of
-// operand arrays in the order the kernels stream them.  On the
-// megathrust preset (7020 elements, 2 materials, degree 2) this took the
-// build from ~0.25 s to a few hundredths of a second; see ROADMAP.md.
+// kernel order (the star operand one group per iteration), so it is also
+// the first touch of the ~6 KiB per element of operand arrays in the order
+// the kernels stream them.  On the megathrust preset (7020 elements, 2
+// materials, degree 2) this took the build from ~0.25 s to a few
+// hundredths of a second; see ROADMAP.md.
 
 #include <cstdint>
 #include <memory>
@@ -175,12 +187,29 @@ class SimulationAssets {
   std::vector<int> kernelOrder;  // [position] -> mesh element
   std::vector<int> positionOf;   // [mesh element] -> position
 
-  // Static operands, indexed by position: [pos][3][81] star matrices,
-  // [pos*4 + f] faces and flux matrices.
-  OperandVector starT;  // transposed star matrices
+  // Static operands.  Star matrices by star group (see the top of this
+  // file), faces and flux matrices by position, [pos*4 + f].
+  OperandVector star;  // [group][3][24][8 lanes]
   std::vector<FaceRecord> faces;
   OperandVector fluxMinusT;  // [81] each, transposed, pre-scaled
   OperandVector fluxPlusT;   // [81] each, transposed, pre-scaled
+
+  // Per cluster c (numClusters + 1 entries): its first kernel-order
+  // position and its first star group.
+  std::vector<int> clusterBegin;
+  std::vector<int> starGroupBegin;
+
+  /// The star groups of a run [pos, pos + width) of one cluster's
+  /// positions: `groups` groups from `firstGroup`, the run starting at
+  /// lane `firstLane` of the first.
+  struct StarSpan {
+    int firstGroup = 0, firstLane = 0, groups = 0;
+  };
+  StarSpan starSpan(int pos, int width) const;
+
+  /// The 3 transposed 9 x 9 star matrices of mesh element `elem`,
+  /// starT[c*81 + p*9 + j], expanded from `star`.
+  void expandStarT(int elem, real* starT) const;
 
   // Static per-element flags, indexed by mesh element.
   std::vector<std::uint8_t> hasCoarserNeighbor;

@@ -6,18 +6,23 @@
 // build used before that split, kept verbatim: per face, the full
 // Godunov set-up and rot * (aFace * (g * rotInv)); per element, the star
 // matrix summed from freshly built Jacobians.  Every face's fluxMinusT /
-// fluxPlusT and every element's starT (stored in kernel order, reached
-// through positionOf) must equal it byte for byte, and the threaded fill
-// pass must give the same bytes on any team size.
+// fluxPlusT (stored in kernel order, reached through positionOf) and every
+// element's star matrices, expanded from the compressed star groups, must
+// equal it byte for byte, the groups' padding lanes must be +0, and the
+// threaded fill pass must give the same bytes on any team size.  Packing a
+// star matrix with a nonzero outside the structural pattern must throw.
 
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <omp.h>
 
 #include "geometry/mesh_builder.hpp"
+#include "kernels/star_operand.hpp"
 #include "physics/jacobians.hpp"
 #include "physics/riemann.hpp"
 #include "solver/simulation_assets.hpp"
@@ -162,9 +167,39 @@ struct Coverage {
   int boundary[6] = {};  // folded boundary faces per BoundaryType
 };
 
+/// A finite value no operand takes: what a skipped write leaves behind.
+real sentinelBits() { return -5.25e33; }
+
+/// The star groups of `a` hold exactly the kernel-order positions of each
+/// cluster, with +0 in every padding lane.
+void expectStarPaddingIsZero(const SimulationAssets& a) {
+  const int nc = a.clusters.numClusters;
+  ASSERT_EQ(static_cast<int>(a.starGroupBegin.size()), nc + 1);
+  ASSERT_EQ(a.star.size(),
+            static_cast<std::size_t>(a.starGroupBegin[nc]) * kStarGroupSize);
+  for (int c = 0; c < nc; ++c) {
+    const int size = a.clusterBegin[c + 1] - a.clusterBegin[c];
+    ASSERT_EQ(size, static_cast<int>(a.clusters.elementsOfCluster[c].size()));
+    ASSERT_EQ(a.starGroupBegin[c + 1] - a.starGroupBegin[c],
+              (size + kStarGroupLanes - 1) / kStarGroupLanes);
+    for (int lane = size; lane % kStarGroupLanes != 0; ++lane) {
+      const real* group =
+          a.star.data() + static_cast<std::size_t>(a.starGroupBegin[c] +
+                                                   lane / kStarGroupLanes) *
+                              kStarGroupSize;
+      for (int i = 0; i < 3 * kStarNonzeros; ++i) {
+        const real v = group[i * kStarGroupLanes + lane % kStarGroupLanes];
+        EXPECT_TRUE(v == 0 && !std::signbit(v))
+            << "cluster " << c << " padding lane " << lane << " slot " << i;
+      }
+    }
+  }
+}
+
 /// memcmp every star and flux operand of `a` against the oracle; counts
 /// the face kinds it checked into `cov`.
 void expectOperandsMatchOracle(const SimulationAssets& a, Coverage& cov) {
+  expectStarPaddingIsZero(a);
   const Mesh& mesh = a.mesh;
   const int n = mesh.numElements();
   std::vector<real> star(kStride * 3), fMinus(kStride), fPlus(kStride);
@@ -176,10 +211,12 @@ void expectOperandsMatchOracle(const SimulationAssets& a, Coverage& cov) {
       oracle::storeT(oracle::starMatrix(mat, g[c]), 1.0,
                      star.data() + c * kStride);
     }
-    ASSERT_EQ(std::memcmp(star.data(), a.starT.data() + pos * 3 * kStride,
+    std::vector<real> expanded(kStride * 3, sentinelBits());
+    a.expandStarT(e, expanded.data());
+    ASSERT_EQ(std::memcmp(star.data(), expanded.data(),
                           sizeof(real) * 3 * kStride),
               0)
-        << "starT of element " << e;
+        << "star matrices of element " << e;
 
     const real volJ = 6.0 * mesh.volume(e);
     for (int f = 0; f < 4; ++f) {
@@ -225,6 +262,13 @@ void expectOperandsMatchOracle(const SimulationAssets& a, Coverage& cov) {
   }
 }
 
+/// Sets the OpenMP team size for one scope.
+struct ThreadCountGuard {
+  int saved = omp_get_max_threads();
+  explicit ThreadCountGuard(int threads) { omp_set_num_threads(threads); }
+  ~ThreadCountGuard() { omp_set_num_threads(saved); }
+};
+
 /// Bend the grid layers so faces take many orientations.
 real wavyZ(real x, real y, real z) {
   return z + 0.06 * std::sin(3.1 * x + 0.7) * std::cos(2.3 * y) * (1.0 - z * z);
@@ -249,12 +293,16 @@ TEST(AssetOperands, LayeredFourMaterialMeshMatchesOracleBitwise) {
       Material::fromVelocities(2700, 6000, 3464),
       Material::fromVelocities(2000, 2500, 1200),
       Material::acoustic(1030, 1520), Material::acoustic(1000, 1480)};
-  const SimulationAssets a(buildBoxMesh(spec), table, AssetConfig{});
-  Coverage cov;
-  expectOperandsMatchOracle(a, cov);
-  EXPECT_GT(cov.materialInterfaces, 0);
-  EXPECT_GT(cov.gravity, 0);
-  EXPECT_GT(cov.boundary[static_cast<int>(BoundaryType::kAbsorbing)], 0);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const ThreadCountGuard guard(threads);
+    const SimulationAssets a(buildBoxMesh(spec), table, AssetConfig{});
+    Coverage cov;
+    expectOperandsMatchOracle(a, cov);
+    EXPECT_GT(cov.materialInterfaces, 0);
+    EXPECT_GT(cov.gravity, 0);
+    EXPECT_GT(cov.boundary[static_cast<int>(BoundaryType::kAbsorbing)], 0);
+  }
 }
 
 TEST(AssetOperands, EveryFaceKindMatchesOracleBitwise) {
@@ -285,12 +333,17 @@ TEST(AssetOperands, EveryFaceKindMatchesOracleBitwise) {
   const std::vector<Material> table = {
       Material::fromVelocities(2700, 6000, 3464),
       Material::acoustic(1000, 1500)};
-  for (const real gravity : {9.81, 0.0}) {
+  for (const auto& [gravity, threads] :
+       {std::pair{9.81, 1}, std::pair{9.81, 4}, std::pair{0.0, 1},
+        std::pair{0.0, 4}}) {
+    SCOPED_TRACE(testing::Message() << "gravity " << gravity << ", "
+                                    << threads << " threads");
+    const ThreadCountGuard guard(threads);
     AssetConfig cfg;
     cfg.gravity = gravity;
     const SimulationAssets a(buildBoxMesh(spec), table, cfg);
     Coverage cov;
-  expectOperandsMatchOracle(a, cov);
+    expectOperandsMatchOracle(a, cov);
     EXPECT_GT(cov.rupture, 0);
     EXPECT_GT(cov.materialInterfaces, 0);
     EXPECT_EQ(cov.gravity > 0, gravity > 0);
@@ -332,7 +385,7 @@ TEST(AssetOperands, FillPassIsIndependentOfTheThreadCount) {
   omp_set_num_threads(4);
   const SimulationAssets four(mesh, table, AssetConfig{});
   omp_set_num_threads(saved);
-  EXPECT_TRUE(sameBytes(one.starT, four.starT));
+  EXPECT_TRUE(sameBytes(one.star, four.star));
   EXPECT_TRUE(sameBytes(one.fluxMinusT, four.fluxMinusT));
   EXPECT_TRUE(sameBytes(one.fluxPlusT, four.fluxPlusT));
   // FaceRecord has no padding, so its bytes are its fields.
@@ -340,6 +393,50 @@ TEST(AssetOperands, FillPassIsIndependentOfTheThreadCount) {
   EXPECT_TRUE(sameBytes(one.faces, four.faces));
   EXPECT_TRUE(sameBytes(one.hasCoarserNeighbor, four.hasCoarserNeighbor));
   EXPECT_EQ(one.assetHash, four.assetHash);
+}
+
+// packStarLane stores the 24 pattern slots of each direction and throws,
+// writing nothing, on a nonzero anywhere else; a -0 off the pattern is a
+// zero and packs.  expandStarLane restores the matrices bit for bit.
+TEST(AssetOperands, StarPackingRejectsOffPatternNonzeros) {
+  const Material mat = Material::fromVelocities(2700, 6000, 3464);
+  const Vec3 grads[3] = {{0.3, -1.7, 0.2}, {-0.9, 0.4, 1.1}, {0.6, 0.8, -0.5}};
+  std::vector<real> starT(3 * kStride);
+  for (int c = 0; c < 3; ++c) {
+    oracle::storeT(oracle::starMatrix(mat, grads[c]), 1.0,
+                   starT.data() + c * kStride);
+  }
+  std::vector<real> group(kStarGroupSize, sentinelBits());
+  packStarLane(starT.data(), group.data(), 5);
+  std::vector<real> back(3 * kStride, sentinelBits());
+  expandStarLane(group.data(), 5, back.data());
+  EXPECT_TRUE(sameBytes(starT, back));
+  // A full elastic star matrix fills every slot of the pattern.
+  for (int i = 0; i < 3 * kStarNonzeros; ++i) {
+    EXPECT_NE(group[i * kStarGroupLanes + 5], 0.0) << "slot " << i;
+  }
+
+  int offPattern = 0;
+  for (int c = 0; c < 3; ++c) {
+    for (int i = 0; i < kStride; ++i) {
+      if (starT[c * kStride + i] != 0) {
+        continue;
+      }
+      ++offPattern;
+      std::vector<real> bad = starT;
+      bad[c * kStride + i] = -0.0;
+      std::vector<real> packed = group;
+      EXPECT_NO_THROW(packStarLane(bad.data(), packed.data(), 2));
+      bad[c * kStride + i] = 1e-300;
+      packed = group;
+      EXPECT_THROW(packStarLane(bad.data(), packed.data(), 2),
+                   StarPatternError)
+          << "direction " << c << " slot " << i;
+      EXPECT_TRUE(sameBytes(group, packed)) << "direction " << c << " slot "
+                                            << i;
+    }
+  }
+  EXPECT_EQ(offPattern, 3 * (kStride - kStarNonzeros));
 }
 
 }  // namespace

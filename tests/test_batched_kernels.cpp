@@ -267,7 +267,7 @@ TEST(BatchedKernels, TileTaylorIntegralKeepsReferenceSignOfZero) {
     }
     std::vector<real> outTile(tileSize, 99.0);
     fastStageKernels(isa).taylorIntegrate(rm, stackTiles.data(), 0.0, dt,
-                                          outTile.data(), width, ld);
+                                          outTile.data(), width, ld, width);
     for (int lane = 0; lane < width; ++lane) {
       for (int k = 0; k <= rm.degree; ++k) {
         for (int l = 0; l < rm.nb; ++l) {

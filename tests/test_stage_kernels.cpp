@@ -361,8 +361,8 @@ TEST(StageKernels, OverwriteModeTailShapesMatchReferenceBitwise) {
 /// Per-lane products (n = 9): the local flux overwrites its lanes with
 /// the negated product, the neighbour flux overwrites its scratch with the
 /// negated product and accumulates into the DOF tile.  Null lanes must
-/// stay untouched, as must the tile padding.  With `flush` both sides run with subnormals
-/// flushed (FTZ|DAZ).
+/// stay untouched, as must the tile padding.  With `flush` both sides run
+/// with subnormals flushed (FTZ|DAZ).
 void checkPerLaneFlux(const StageKernels& kt, int nb, int width,
                       std::mt19937& rng, bool flush = false) {
   const int ld = kQ * width + 5;
